@@ -130,19 +130,8 @@ integrity-smoke:
 		tests/test_integrity.py tests/test_io_artifacts.py -q
 	python scripts/integrity_smoke.py
 
-# The columnar experiment backend end to end: the backend test suites
-# (identity rules, routing, classic-vs-columnar oracle equality,
-# shardscan edge cases), then the standalone smoke script — E1 fast on
-# both backends with result-fingerprint equality, config_hash
-# invariance, warm shard-cache replay, and a classic-warmed sweep
-# served to a columnar rerun entirely from cache.
-experiments-columnar-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest \
-		tests/test_experiments_columnar.py tests/test_biblio_shardscan.py -q
-	python scripts/columnar_smoke.py
-
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-.PHONY: install test bench examples experiments experiments-full check chaos-smoke sweep-smoke serve-smoke obs-smoke bench-gate bench-gate-smoke corpus-smoke integrity-smoke experiments-columnar-smoke outputs
+.PHONY: install test bench examples experiments experiments-full check chaos-smoke sweep-smoke serve-smoke obs-smoke bench-gate bench-gate-smoke corpus-smoke integrity-smoke outputs

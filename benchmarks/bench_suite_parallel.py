@@ -24,7 +24,8 @@ from _harness import RESULTS_DIR
 from repro.experiments._corpus import (
     clear_corpus_cache,
     configure_corpus_cache,
-    shared_corpus,
+    corpus_config,
+    shared_aggregates_from_config,
 )
 from repro.runtime.runner import SuiteRunner
 
@@ -35,11 +36,11 @@ def test_suite_wall_clock_scaling(tmp_path):
     fast = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
     cache_dir = str(tmp_path / "artifacts")
 
-    # Prime the shared corpus artifact so every timed run — sequential
-    # included — sees the same warm on-disk cache.
+    # Prime the corpus shards and scanned aggregates so every timed run
+    # — sequential included — sees the same warm on-disk cache.
     previous = configure_corpus_cache(cache_dir)
     try:
-        shared_corpus(seed=0, fast=fast)
+        shared_aggregates_from_config(corpus_config(seed=0, fast=fast))
     finally:
         configure_corpus_cache(previous)
 

@@ -12,23 +12,29 @@ Run:  python examples/bibliometric_method_audit.py
 """
 
 from repro.bibliometrics import (
-    SyntheticCorpusConfig,
-    generate_corpus,
     gini,
     room_report,
     top_k_share,
     venue_adoption_table,
 )
+from repro.bibliometrics.shardgen import (
+    ShardedCorpusConfig,
+    generate_columnar_corpus,
+)
 from repro.core.positionality import has_positionality_statement
+from repro.experiments._corpus import stock_corpus_papers
 from repro.io.tables import Table
 from repro.textmine import collocations
 
 
 def main() -> None:
     print("Generating synthetic corpus (12 venues, 2010-2025)...")
-    corpus, truth = generate_corpus(
-        SyntheticCorpusConfig(start_year=2010, end_year=2025, seed=0)
-    )
+    corpus = generate_columnar_corpus(
+        ShardedCorpusConfig(
+            start_year=2010, end_year=2025, seed=0,
+            total_papers=stock_corpus_papers(2010, 2025),
+        )
+    ).to_corpus()
     print(f"  {len(corpus)} papers, {len(corpus.authors())} authors\n")
 
     # 1. Method adoption.

@@ -231,26 +231,17 @@ def _run_corpus_scan(repeats: int) -> list[dict]:
 def _run_experiment_scan(repeats: int) -> list[dict]:
     """The experiment suite's columnar analytics fold, papers/second.
 
-    Measures exactly what E1/E2/E3/E12 pay on the columnar backend: one
+    Measures exactly what E1/E2/E3/E12 pay on a cold corpus: one
     :func:`scan_corpus` pass (method classification, positionality
     detection, venue/topic/sector/author/citation rollups) over the
-    stock fast-preset experiment corpus re-encoded as columnar shards.
-    Generation and columnarization happen once outside the timed
-    region — the series tracks the scan kernel, the path the routing
-    layer puts every bibliometric experiment on.
+    stock fast-preset experiment corpus.  Generation happens once
+    outside the timed region — the series tracks the scan kernel.
     """
-    from repro.bibliometrics.columnar import ColumnarCorpus
-    from repro.bibliometrics.columnarize import columnarize_corpus
+    from repro.bibliometrics.shardgen import generate_columnar_corpus
     from repro.bibliometrics.shardscan import scan_corpus
-    from repro.bibliometrics.synthgen import generate_corpus
     from repro.experiments._corpus import corpus_config
 
-    vocab, shards = columnarize_corpus(
-        *generate_corpus(corpus_config(seed=0, fast=True)), 1_000
-    )
-    corpus = ColumnarCorpus(
-        vocab, [shard.n_papers for shard in shards], shards.__getitem__
-    )
+    corpus = generate_columnar_corpus(corpus_config(seed=0, fast=True))
     papers = len(corpus)
 
     def scan() -> None:
@@ -261,7 +252,7 @@ def _run_experiment_scan(repeats: int) -> list[dict]:
     return [make_entry(
         "experiment_scan", papers / seconds,
         metric="papers_per_second", unit="papers/second", better="higher",
-        context={"repeats": repeats, "papers": papers,
+        context={"repeats": repeats, "papers": papers, "corpus": "shardgen",
                  "shards": corpus.n_shards, "preset": "fast",
                  "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]

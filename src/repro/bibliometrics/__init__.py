@@ -14,7 +14,8 @@ over a scraped corpus.
 Modules:
 
 - :mod:`repro.bibliometrics.corpus` -- papers, authors, venues, corpora.
-- :mod:`repro.bibliometrics.synthgen` -- synthetic corpus generator.
+- :mod:`repro.bibliometrics.synthgen` -- synthetic corpus calibration.
+- :mod:`repro.bibliometrics.shardgen` -- synthetic corpus generator.
 - :mod:`repro.bibliometrics.methods_detect` -- method-mention detection.
 - :mod:`repro.bibliometrics.networks` -- coauthorship/citation graphs.
 - :mod:`repro.bibliometrics.metrics` -- concentration and diversity indices.
@@ -22,12 +23,7 @@ Modules:
 """
 
 from repro.bibliometrics.corpus import Author, Paper, Venue, Corpus
-from repro.bibliometrics.synthgen import (
-    SyntheticCorpusConfig,
-    VenueProfile,
-    generate_corpus,
-    default_venue_profiles,
-)
+from repro.bibliometrics.synthgen import VenueProfile, default_venue_profiles
 from repro.bibliometrics.methods_detect import (
     METHOD_FAMILIES,
     MethodMention,
@@ -69,9 +65,7 @@ __all__ = [
     "Paper",
     "Venue",
     "Corpus",
-    "SyntheticCorpusConfig",
     "VenueProfile",
-    "generate_corpus",
     "default_venue_profiles",
     "METHOD_FAMILIES",
     "MethodMention",

@@ -1,13 +1,13 @@
 """Shard-parallel, streaming, columnar synthetic-corpus generation.
 
-:func:`repro.bibliometrics.synthgen.generate_corpus` builds one Python
-object per paper with one sequential RNG — the right oracle at 10³–10⁴
-papers and the scale ceiling past it.  This module generates the same
-*kind* of corpus (venue profiles, topic mixes, human-method rates with
-yearly trends, positionality statements, author pools, topic-biased
-citations) as :class:`~repro.bibliometrics.columnar.ColumnarShard`
-columns, in fixed-size shards that are independent of each other and of
-the worker count:
+The one corpus producer: the experiments, ``repro serve``, and ``repro
+corpus`` all read its output.  It draws the calibrated venue profiles
+and text templates of :mod:`repro.bibliometrics.synthgen` (topic mixes,
+human-method rates with yearly trends, positionality statements, author
+pools) plus topic-biased citations, as
+:class:`~repro.bibliometrics.columnar.ColumnarShard` columns, in
+fixed-size shards that are independent of each other and of the worker
+count:
 
 - **Deterministic shard seeds.**  Shard ``i`` draws from
   ``SeedSequence([seed, STREAM_SHARD, i])`` (numpy Philox-backed

@@ -37,7 +37,26 @@ from repro.core.positionality import (
     has_positionality_statement,
 )
 
-__all__ = ["CorpusAggregates", "scan_corpus", "scan_shard"]
+__all__ = [
+    "AGGREGATES_ARTIFACT_KIND",
+    "AGGREGATES_SCHEMA_VERSION",
+    "CorpusAggregates",
+    "scan_corpus",
+    "scan_shard",
+]
+
+#: Artifact-cache kind for persisted :class:`CorpusAggregates`.
+AGGREGATES_ARTIFACT_KIND = "corpus-aggregates"
+
+#: Bump when the scan or the record layout changes meaning; older
+#: entries become unreachable and the corpus is rescanned on demand.
+AGGREGATES_SCHEMA_VERSION = 1
+
+#: Record-layout groups of the :class:`CorpusAggregates` fields: maps
+#: keyed by ``(venue_id, year)``, maps keyed by one id, flat counters.
+_CELL_FIELDS = ("venue_year", "positionality")
+_KEYED_FIELDS = ("venue_topics", "sector_slots")
+_COUNTER_FIELDS = ("family_mentions", "topic_papers", "author_papers", "citations")
 
 
 def _merge_counter_maps(ours: dict, theirs: dict) -> dict:
@@ -57,9 +76,10 @@ class CorpusAggregates:
     """An associative summary of (part of) a corpus.
 
     Every field is an integer count (or a map of them), so merging is
-    exact — no float accumulation order to worry about — which is what
-    lets the experiment suite's columnar backend promise bit-identical
-    result fingerprints against the classic dataclass pipeline.
+    exact — no float accumulation order to worry about — and a scan
+    gives bit-identical experiment results however the corpus is
+    sharded, and whether it is scanned fresh or read back through
+    :meth:`to_records`/:meth:`from_records`.
 
     Attributes:
         n_papers: Papers scanned.
@@ -128,6 +148,58 @@ class CorpusAggregates:
         for part in parts:
             merged = merged.merge(part)
         return merged
+
+    def to_records(self) -> list[dict]:
+        """Serialize to artifact-cache records (JSON-safe, no pickle).
+
+        Every map travels as a list of ``[key, value]`` pairs, so
+        integer keys keep their type and iteration order survives the
+        cache's sorted-key JSON dump.
+        """
+        records: list[dict] = [{
+            "n_papers": self.n_papers,
+            "venue_kinds": list(self.venue_kinds.items()),
+        }]
+        for name in _CELL_FIELDS:
+            records.append({"field": name, "items": [
+                [venue_id, year, list(cells.items())]
+                for (venue_id, year), cells in getattr(self, name).items()
+            ]})
+        for name in _KEYED_FIELDS:
+            records.append({"field": name, "items": [
+                [key, list(counts.items())]
+                for key, counts in getattr(self, name).items()
+            ]})
+        for name in _COUNTER_FIELDS:
+            records.append(
+                {"field": name, "items": list(getattr(self, name).items())}
+            )
+        return records
+
+    @classmethod
+    def from_records(cls, records: list[dict]) -> "CorpusAggregates":
+        """Inverse of :meth:`to_records` (ValueError on an unknown layout)."""
+        if not records or "n_papers" not in records[0]:
+            raise ValueError("not an aggregates record stream: missing header")
+        aggregates = cls(
+            n_papers=int(records[0]["n_papers"]),
+            venue_kinds=dict(records[0]["venue_kinds"]),
+        )
+        for record in records[1:]:
+            name, items = record.get("field"), record.get("items", ())
+            if name in _CELL_FIELDS:
+                value = {
+                    (venue_id, year): Counter(dict(cells))
+                    for venue_id, year, cells in items
+                }
+            elif name in _KEYED_FIELDS:
+                value = {key: Counter(dict(counts)) for key, counts in items}
+            elif name in _COUNTER_FIELDS:
+                value = Counter(dict(items))
+            else:
+                raise ValueError(f"unknown aggregates field {name!r}")
+            setattr(aggregates, name, value)
+        return aggregates
 
 
 def _positionality_candidates(shard: ColumnarShard) -> np.ndarray:

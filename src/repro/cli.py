@@ -25,10 +25,11 @@ first:
   ``bench report`` renders the trajectory, and ``bench gate`` exits
   non-zero when the newest entry regressed >20% against the rolling
   baseline.
-- ``corpus generate``: generate the synthetic venue corpus to JSONL
-  files — or, with ``--papers``, at scale through the shard-parallel
-  columnar generator (``repro corpus --papers 1000000 --workers 4``;
-  the bare ``repro corpus OUT`` spelling still works).
+- ``corpus generate``: generate the synthetic venue corpus (the
+  shard-parallel columnar generator) to JSONL files — or, with
+  ``--papers``, at scale as cached shards plus a manifest (``repro
+  corpus --papers 1000000 --workers 4``; the bare ``repro corpus OUT``
+  spelling still works).
 - ``corpus export`` / ``corpus import``: versioned, content-addressed
   corpus snapshots — export writes a tagged directory of checksummed
   shard objects plus a self-digested manifest, import verifies every
@@ -371,10 +372,11 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    from repro.bibliometrics.synthgen import (
-        SyntheticCorpusConfig,
-        generate_corpus,
+    from repro.bibliometrics.shardgen import (
+        ShardedCorpusConfig,
+        generate_columnar_corpus,
     )
+    from repro.experiments._corpus import SHARD_SIZE, stock_corpus_papers
     from repro.io.jsonl import write_jsonl
 
     if args.papers is not None:
@@ -383,10 +385,15 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
         print("error: output directory required (or use --papers for the "
               "sharded columnar generator)", file=sys.stderr)
         return 2
-    config = SyntheticCorpusConfig(
-        start_year=args.start_year, end_year=args.end_year, seed=args.seed
+    config = ShardedCorpusConfig(
+        start_year=args.start_year,
+        end_year=args.end_year,
+        seed=args.seed,
+        total_papers=stock_corpus_papers(args.start_year, args.end_year),
+        shard_size=SHARD_SIZE,
     )
-    corpus, truth = generate_corpus(config)
+    columnar = generate_columnar_corpus(config)
+    corpus, truth = columnar.to_corpus(), columnar.truth()
     out = Path(args.output)
     records = corpus.to_records()
     for name in ("venues", "authors", "papers"):
@@ -584,9 +591,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     # stats: per-kind rollup — entries, bytes, share of the cache, and
-    # age span, so operators can see which backend (one monolithic
-    # shared-corpus stream vs many corpus-shard payloads) fills the
-    # cache and how stale each kind is.
+    # age span, so operators can see which kind (corpus shards, scanned
+    # aggregates, memoized results) fills the cache and how stale each
+    # kind is.
     by_kind: dict[str, dict] = {}
     for entry in entries:
         bucket = by_kind.setdefault(
@@ -1008,7 +1015,8 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_gen.add_argument("--seed", type=int, default=0)
     corpus_gen.add_argument(
         "--papers", type=int, default=None,
-        help="total papers: switch to the shard-parallel columnar generator",
+        help="total papers: write cached shards and a manifest instead "
+        "of the JSONL dump",
     )
     corpus_gen.add_argument(
         "--workers", type=int, default=1,

@@ -19,15 +19,10 @@ from repro.bibliometrics.statistics import (
     proportion_confint,
     two_proportion_test,
 )
-from repro.bibliometrics.trends import (
-    venue_adoption_table,
-    venue_adoption_table_from_counts,
-)
+from repro.bibliometrics.trends import venue_adoption_table_from_counts
 from repro.experiments._corpus import (
     corpus_config_from_params,
-    resolve_backend,
     shared_aggregates_from_config,
-    shared_corpus_from_config,
 )
 from repro.experiments.registry import ExperimentResult, make_result
 from repro.experiments.spec import CorpusParams, ExperimentSpec, resolve_spec
@@ -54,17 +49,12 @@ def run(
 ) -> ExperimentResult:
     """Run E1; see module docstring for the expected shape."""
     spec = resolve_spec(E1Spec, spec, fast, seed)
-    config = corpus_config_from_params(spec.seed, spec.corpus)
-    if resolve_backend(spec.corpus) == "columnar":
-        aggregates = shared_aggregates_from_config(
-            config, spec.corpus.shard_size
-        )
-        records = venue_adoption_table_from_counts(
-            aggregates.venue_year, aggregates.venue_kinds
-        )
-    else:
-        corpus, _ = shared_corpus_from_config(config)
-        records = venue_adoption_table(corpus)
+    aggregates = shared_aggregates_from_config(
+        corpus_config_from_params(spec.seed, spec.corpus)
+    )
+    records = venue_adoption_table_from_counts(
+        aggregates.venue_year, aggregates.venue_kinds
+    )
 
     per_venue = Table(
         ["venue", "kind", "papers", "human_share", "early", "late"],

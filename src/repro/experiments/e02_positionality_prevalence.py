@@ -17,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.core.positionality import has_positionality_statement
 from repro.experiments._corpus import (
     corpus_config_from_params,
-    resolve_backend,
     shared_aggregates_from_config,
-    shared_corpus_from_config,
 )
 from repro.experiments.registry import ExperimentResult, make_result
 from repro.experiments.spec import CorpusParams, ExperimentSpec, resolve_spec
@@ -49,46 +46,25 @@ def run(
 ) -> ExperimentResult:
     """Run E2; see module docstring for the expected shape."""
     spec = resolve_spec(E2Spec, spec, fast, seed)
-    config = corpus_config_from_params(spec.seed, spec.corpus)
+    aggregates = shared_aggregates_from_config(
+        corpus_config_from_params(spec.seed, spec.corpus)
+    )
 
-    # Both branches fill the same integer cells (exact counts, so the
-    # accumulation order can't perturb them): per-kind papers/detected/
-    # truth plus the global confusion totals.
+    # Per-kind papers/detected/truth plus the global confusion totals,
+    # folded from the per-(venue, year) integer cells.
     per_kind: dict[str, dict[str, int]] = {}
     true_positive = false_positive = false_negative = 0
-    if resolve_backend(spec.corpus) == "columnar":
-        aggregates = shared_aggregates_from_config(
-            config, spec.corpus.shard_size
+    for (venue_id, _year), cells in aggregates.positionality.items():
+        kind = aggregates.venue_kinds[venue_id]
+        bucket = per_kind.setdefault(
+            kind, {"papers": 0, "detected": 0, "truth": 0}
         )
-        for (venue_id, _year), cells in aggregates.positionality.items():
-            kind = aggregates.venue_kinds[venue_id]
-            bucket = per_kind.setdefault(
-                kind, {"papers": 0, "detected": 0, "truth": 0}
-            )
-            bucket["papers"] += cells["papers"]
-            bucket["detected"] += cells["detected"]
-            bucket["truth"] += cells["truth"]
-            true_positive += cells["tp"]
-            false_positive += cells["fp"]
-            false_negative += cells["fn"]
-    else:
-        corpus, truth = shared_corpus_from_config(config)
-        for paper in corpus:
-            kind = corpus.venue(paper.venue_id).kind
-            bucket = per_kind.setdefault(
-                kind, {"papers": 0, "detected": 0, "truth": 0}
-            )
-            bucket["papers"] += 1
-            detected = has_positionality_statement(paper.full_text)
-            actual = paper.paper_id in truth.positionality
-            bucket["detected"] += int(detected)
-            bucket["truth"] += int(actual)
-            if detected and actual:
-                true_positive += 1
-            elif detected:
-                false_positive += 1
-            elif actual:
-                false_negative += 1
+        bucket["papers"] += cells["papers"]
+        bucket["detected"] += cells["detected"]
+        bucket["truth"] += cells["truth"]
+        true_positive += cells["tp"]
+        false_positive += cells["fp"]
+        false_negative += cells["fn"]
 
     table = Table(
         ["venue_kind", "papers", "detected_share", "truth_share"],

@@ -24,10 +24,8 @@ from repro.bibliometrics.demographics import room_report
 from repro.bibliometrics.metrics import hhi, shannon_diversity
 from repro.experiments._corpus import (
     corpus_config_from_params,
-    resolve_backend,
     shared_aggregates_from_config,
     shared_columnar_corpus_from_config,
-    shared_corpus_from_config,
 )
 from repro.experiments.registry import ExperimentResult, make_result
 from repro.experiments.spec import CorpusParams, ExperimentSpec, resolve_spec
@@ -58,56 +56,28 @@ def run(
     """Run E3; see module docstring for the expected shape."""
     spec = resolve_spec(E3Spec, spec, fast, seed)
     config = corpus_config_from_params(spec.seed, spec.corpus)
-    columnar = resolve_backend(spec.corpus) == "columnar"
+    aggregates = shared_aggregates_from_config(config)
 
     stats: dict[str, dict] = {}
-    if columnar:
-        corpus = shared_columnar_corpus_from_config(
-            config, spec.corpus.shard_size
+    for venue_id, topics in aggregates.venue_topics.items():
+        kind = aggregates.venue_kinds[venue_id]
+        bucket = stats.setdefault(
+            kind,
+            {"papers": 0, "hyper_topics": 0, "community_topics": 0,
+             "topic_counts": {}, "author_slots": 0, "hyper_authors": 0},
         )
-        aggregates = shared_aggregates_from_config(
-            config, spec.corpus.shard_size
-        )
-        for venue_id, topics in aggregates.venue_topics.items():
-            kind = aggregates.venue_kinds[venue_id]
-            bucket = stats.setdefault(
-                kind,
-                {"papers": 0, "hyper_topics": 0, "community_topics": 0,
-                 "topic_counts": {}, "author_slots": 0, "hyper_authors": 0},
+        for topic, papers in topics.items():
+            bucket["papers"] += papers
+            bucket["topic_counts"][topic] = (
+                bucket["topic_counts"].get(topic, 0) + papers
             )
-            for topic, papers in topics.items():
-                bucket["papers"] += papers
-                bucket["topic_counts"][topic] = (
-                    bucket["topic_counts"].get(topic, 0) + papers
-                )
-                if topic in HYPERSCALER_TOPICS:
-                    bucket["hyper_topics"] += papers
-                if topic in COMMUNITY_TOPICS:
-                    bucket["community_topics"] += papers
-            slots = aggregates.sector_slots.get(venue_id, {})
-            bucket["author_slots"] += sum(slots.values())
-            bucket["hyper_authors"] += slots.get("hyperscaler", 0)
-    else:
-        corpus, _ = shared_corpus_from_config(config)
-        for paper in corpus:
-            kind = corpus.venue(paper.venue_id).kind
-            bucket = stats.setdefault(
-                kind,
-                {"papers": 0, "hyper_topics": 0, "community_topics": 0,
-                 "topic_counts": {}, "author_slots": 0, "hyper_authors": 0},
-            )
-            bucket["papers"] += 1
-            bucket["topic_counts"][paper.topic] = (
-                bucket["topic_counts"].get(paper.topic, 0) + 1
-            )
-            if paper.topic in HYPERSCALER_TOPICS:
-                bucket["hyper_topics"] += 1
-            if paper.topic in COMMUNITY_TOPICS:
-                bucket["community_topics"] += 1
-            for author_id in paper.author_ids:
-                bucket["author_slots"] += 1
-                if corpus.author(author_id).sector == "hyperscaler":
-                    bucket["hyper_authors"] += 1
+            if topic in HYPERSCALER_TOPICS:
+                bucket["hyper_topics"] += papers
+            if topic in COMMUNITY_TOPICS:
+                bucket["community_topics"] += papers
+        slots = aggregates.sector_slots.get(venue_id, {})
+        bucket["author_slots"] += sum(slots.values())
+        bucket["hyper_authors"] += slots.get("hyperscaler", 0)
 
     table = Table(
         [
@@ -120,8 +90,8 @@ def run(
     for kind in sorted(stats):
         bucket = stats[kind]
         # Topic-sorted value order: hhi/shannon_diversity sum floats in
-        # input order, so both backends must feed them the same
-        # sequence, not merely the same multiset.
+        # input order, so the sequence must not depend on how the
+        # aggregates were merged.
         counts = [
             bucket["topic_counts"][topic]
             for topic in sorted(bucket["topic_counts"])
@@ -159,6 +129,7 @@ def run(
         ],
         title="E3b: who is in the room (flagship venue per kind)",
     )
+    corpus = shared_columnar_corpus_from_config(config)
     rooms = {}
     for kind, venue_id in sorted(flagship.items()):
         room = room_report(corpus, venue_id)

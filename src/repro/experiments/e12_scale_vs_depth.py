@@ -23,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from collections import Counter
-
 from repro.bibliometrics.metrics import gini, top_k_share
 from repro.experiments._corpus import (
     corpus_config_from_params,
-    resolve_backend,
     shared_aggregates_from_config,
-    shared_corpus_from_config,
 )
 from repro.experiments.registry import ExperimentResult, make_result
 from repro.experiments.spec import (
@@ -106,28 +102,13 @@ def run(
     for k, share in traffic_shares:
         traffic_table.add_row([k, share])
 
-    config = corpus_config_from_params(spec.seed, spec.corpus)
-    # Both branches produce the same count *multisets*; gini and
-    # top_k_share sort internally, so that suffices for bit-equal
-    # results across backends.
-    if resolve_backend(spec.corpus) == "columnar":
-        aggregates = shared_aggregates_from_config(
-            config, spec.corpus.shard_size
-        )
-        counts = [
-            aggregates.citations.get(i, 0)
-            for i in range(aggregates.n_papers)
-        ]
-        depth_counts = list(aggregates.author_papers.values())
-    else:
-        corpus, _ = shared_corpus_from_config(config)
-        citation_counts = corpus.citation_counts()
-        counts = [citation_counts.get(p.paper_id, 0) for p in corpus]
-        depth_counts = list(
-            Counter(
-                author_id for p in corpus for author_id in p.author_ids
-            ).values()
-        )
+    aggregates = shared_aggregates_from_config(
+        corpus_config_from_params(spec.seed, spec.corpus)
+    )
+    counts = [
+        aggregates.citations.get(i, 0) for i in range(aggregates.n_papers)
+    ]
+    depth_counts = list(aggregates.author_papers.values())
     n = len(counts)
     citation_table = Table(
         ["metric", "value"], title="E12b: citation concentration"
@@ -141,7 +122,7 @@ def run(
 
     # Per-author depth: the same small-N story on the author axis —
     # how concentrated is authorship among the people who publish at
-    # all? (Authors with zero papers are outside both backends' view.)
+    # all? (Authors with zero papers are outside this view.)
     n_authors = len(depth_counts)
     depth_table = Table(
         ["metric", "value"], title="E12c: per-author publication depth"

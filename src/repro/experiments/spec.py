@@ -38,7 +38,9 @@ from repro.errors import SpecError
 #: Bump when the canonical serialization itself changes meaning, so old
 #: artifact-cache entries and checkpoints are orphaned rather than
 #: silently reused under a new interpretation.
-SPEC_SCHEMA_VERSION = 1
+#: v2: E1/E2/E3/E12 read the shard-parallel generator's corpus, so
+#: results memoized under v1 hashes describe a different corpus.
+SPEC_SCHEMA_VERSION = 2
 
 #: Metadata key under which spec_field() stores its constraint dict.
 _META_KEY = "repro.spec"
@@ -51,7 +53,6 @@ def spec_field(
     maximum: float | None = None,
     choices: tuple | None = None,
     help: str = "",
-    identity: bool = True,
 ) -> Any:
     """A dataclass field carrying range/choice constraints.
 
@@ -59,22 +60,12 @@ def spec_field(
     value; on a scalar field it constrains the value itself.  ``minimum``
     and ``maximum`` are inclusive bounds, applied element-wise to tuple
     values the same way.
-
-    ``identity=False`` marks an *execution* knob: the field still
-    validates, serializes, and survives :meth:`_SpecBase.from_dict`
-    roundtrips (it must cross the fork pool intact), but it is excluded
-    from :meth:`ExperimentSpec.canonical_json` and therefore from
-    ``config_hash()``.  Reserve it for fields that change *how* a result
-    is computed, never *what* the result is — the corpus ``backend``
-    choice is the canonical example, and the cross-backend
-    result-fingerprint equality tests are what license the exclusion.
     """
     meta = {
         "minimum": minimum,
         "maximum": maximum,
         "choices": tuple(choices) if choices is not None else None,
         "help": help,
-        "identity": identity,
     }
     if isinstance(default, (list, dict, set)):
         raise TypeError(
@@ -207,30 +198,6 @@ class _SpecBase:
                 out[f.name] = value
         return out
 
-    def identity_dict(self) -> dict:
-        """Like :meth:`to_dict`, but only identity-bearing fields.
-
-        Fields declared ``spec_field(..., identity=False)`` are execution
-        knobs (e.g. ``CorpusParams.backend``): they must not perturb
-        ``config_hash``, or every memoized sweep/serve result would split
-        per backend even though the results are equal by construction.
-        Nested parameter blocks recurse, so a block whose every field is
-        non-identity collapses to an empty object rather than vanishing
-        (the key set stays stable as flags change).
-        """
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            if not _constraints(f).get("identity", True):
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, _SpecBase):
-                out[f.name] = value.identity_dict()
-            elif isinstance(value, tuple):
-                out[f.name] = list(value)
-            else:
-                out[f.name] = value
-        return out
-
     @classmethod
     def from_dict(cls, data: dict):
         """Rebuild a spec from :meth:`to_dict` output (validates)."""
@@ -284,18 +251,6 @@ class CorpusParams(_SpecBase):
     end_year: int = spec_field(2025, minimum=1990, maximum=2030, help="last publication year")
     authors_per_venue_pool: int = spec_field(60, minimum=10, maximum=500, help="author pool size per venue")
     venue_scale: float = spec_field(1.0, minimum=0.1, maximum=100.0, help="multiplier on every venue's papers per year")
-    # Execution knobs (identity=False): they select the corpus
-    # *representation*, never its content, so they must not split
-    # config_hash identities — the per-experiment classic-vs-columnar
-    # result-fingerprint equality tests enforce the "never".
-    backend: str = spec_field(
-        "auto", choices=("classic", "columnar", "auto"), identity=False,
-        help="corpus engine: classic dataclasses, columnar shards, or auto by size",
-    )
-    shard_size: int = spec_field(
-        10_000, minimum=100, maximum=1_000_000, identity=False,
-        help="papers per columnar shard (columnar/auto backends only)",
-    )
 
     def validate(self) -> None:
         super().validate()
@@ -359,15 +314,11 @@ class ExperimentSpec(_SpecBase):
         Includes the experiment id and the spec schema version, so two
         different experiments with coincidentally equal fields — or the
         same fields under a future re-interpretation — never share an
-        identity.  Serializes :meth:`identity_dict`, not :meth:`to_dict`:
-        execution-only knobs (``corpus.backend``, ``corpus.shard_size``)
-        are deliberately invisible here, so a columnar run shares
-        checkpoints, artifact-cache entries, and sweep/serve memoization
-        keys with the classic run it must equal.
+        identity.
         """
         payload = {
             "experiment": self.EXPERIMENT_ID,
-            "spec": self.identity_dict(),
+            "spec": self.to_dict(),
             "version": SPEC_SCHEMA_VERSION,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))

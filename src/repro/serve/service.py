@@ -53,7 +53,7 @@ import signal
 import sys
 import time
 import uuid
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import SpecError, UnknownExperimentError
@@ -180,33 +180,38 @@ class ServeConfig:
 def compute_corpus_stats(config, *, cache: ArtifactCache) -> list[dict]:
     """Generate (or load) a corpus and cache its analytics summary.
 
-    The stats row is a pure function of the generator config, so it is
-    cached under ``(corpus-stats, asdict(config))`` — and the heavy
-    part, the corpus itself, goes through the shared corpus cache
-    layers, so a stats miss after a warm suite run is still cheap.
+    ``config`` is a :class:`~repro.bibliometrics.shardgen.ShardedCorpusConfig`.
+    The stats row is a pure function of it, so it is cached under
+    ``(corpus-stats, config.to_dict())`` — and the heavy part, the
+    corpus itself, goes through the shared corpus cache layers, so a
+    stats miss after a warm suite run is still cheap.
     """
     from collections import Counter
 
-    from repro.experiments._corpus import shared_corpus_from_config
+    from repro.experiments._corpus import shared_columnar_corpus_from_config
 
-    corpus, truth = shared_corpus_from_config(config)
-    papers = corpus.papers()
-    by_year = Counter(p.year for p in papers)
-    by_topic = Counter(p.topic for p in papers)
-    by_sector = Counter(a.sector for a in corpus.authors())
+    corpus = shared_columnar_corpus_from_config(config)
+    vocab = corpus.vocab
+    by_year: Counter = Counter()
+    positionality_papers = human_method_papers = 0
+    for shard in corpus.iter_shards():
+        by_year.update(shard.year.tolist())
+        positionality_papers += int(shard.positionality.sum())
+        human_method_papers += int((shard.human_mask != 0).sum())
+    by_sector = Counter(vocab.sectors[i] for i in vocab.author_sector_idx)
     stats = {
-        "config": asdict(config),
-        "papers": len(papers),
-        "authors": len(corpus.authors()),
-        "venues": len(corpus.venues()),
+        "config": config.to_dict(),
+        "papers": len(corpus),
+        "authors": vocab.n_authors,
+        "venues": len(vocab.venues),
         "papers_by_year": {str(y): n for y, n in sorted(by_year.items())},
-        "papers_by_topic": dict(sorted(by_topic.items())),
+        "papers_by_topic": dict(sorted(corpus.topic_counts().items())),
         "authors_by_sector": dict(sorted(by_sector.items())),
-        "positionality_papers": len(truth.positionality),
-        "human_method_papers": len(truth.human_methods),
+        "positionality_papers": positionality_papers,
+        "human_method_papers": human_method_papers,
     }
     rows = [stats]
-    cache.put(CORPUS_STATS_KIND, asdict(config), rows)
+    cache.put(CORPUS_STATS_KIND, config.to_dict(), rows)
     return rows
 
 
@@ -675,7 +680,8 @@ class ResultService:
     # -- corpus analytics ------------------------------------------------
 
     async def _corpus(self, request: Request, span) -> Response:
-        from repro.experiments._corpus import corpus_config
+        from repro.experiments._corpus import corpus_config_from_params
+        from repro.experiments.spec import CorpusParams
 
         try:
             seed = int(request.param("seed", "0"))
@@ -684,15 +690,20 @@ class ResultService:
         preset = request.param("preset", "fast")
         if preset not in ("fast", "full"):
             raise BadRequest(f"preset={preset!r} must be 'fast' or 'full'")
-        config = corpus_config(seed=seed, fast=preset == "fast")
+        params = CorpusParams() if preset == "fast" else CorpusParams(**CorpusParams.FULL)
         for name in ("start_year", "end_year", "authors_per_venue_pool"):
             raw = request.param(name)
             if raw is not None:
                 try:
-                    config = replace(config, **{name: int(raw)})
+                    value = int(raw)
                 except ValueError:
                     raise BadRequest(f"{name}={raw!r} is not an integer")
-        config_dict = asdict(config)
+                try:
+                    params = params.replace(**{name: value})
+                except SpecError as exc:
+                    raise BadRequest(str(exc))
+        config = corpus_config_from_params(seed, params)
+        config_dict = config.to_dict()
         config_hash = artifact_key(
             CORPUS_STATS_KIND, config_dict, self.cache.version
         )

@@ -113,9 +113,8 @@ class TestRoomReport:
             assert 0.0 <= value <= 1.0
 
     def test_synthetic_corpus_networking_room_narrower(self):
-        from repro.bibliometrics.synthgen import (
-            SyntheticCorpusConfig, generate_corpus,
-        )
+        from tests.synthgen_oracle import SyntheticCorpusConfig, generate_corpus
+
         corpus, _ = generate_corpus(
             SyntheticCorpusConfig(start_year=2019, end_year=2023, seed=0,
                                   authors_per_venue_pool=40)

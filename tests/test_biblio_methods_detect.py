@@ -128,10 +128,7 @@ class TestSinglePassEquivalence:
             assert scanner.detect(text) == scanner.detect_multipass(text)
 
     def test_default_lexicon_on_synthetic_papers(self):
-        from repro.bibliometrics.synthgen import (
-            SyntheticCorpusConfig,
-            generate_corpus,
-        )
+        from tests.synthgen_oracle import SyntheticCorpusConfig, generate_corpus
 
         corpus, _ = generate_corpus(
             SyntheticCorpusConfig(start_year=2022, end_year=2024, seed=3)

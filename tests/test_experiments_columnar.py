@@ -1,43 +1,33 @@
-"""The experiment suite on the columnar corpus engine.
+"""The shared corpus cache over a multi-shard columnar corpus.
 
-The contract under test (DESIGN.md §15): ``CorpusParams.backend`` and
-``shard_size`` are *execution* knobs — they pick how the corpus is
-represented and cached, never what it contains — so (a) they sit
-outside the spec identity (``config_hash``), (b) routing a spec
-through the columnar engine produces byte-identical result
-fingerprints (the classic dataclass pipeline is the oracle, enforced
-per experiment at the **full** preset), and (c) sweep/serve
-memoization keys are therefore stable across backends: a cache warmed
-on one backend serves the other with zero compute jobs.
+The experiment presets fit in one shard at ``SHARD_SIZE``, so these
+tests drive :mod:`repro.experiments._corpus` with a smaller shard size
+to cover what only shows with several shards: memory-cache identity of
+a multi-shard corpus, warm replays that stream shard by shard, and disk
+invalidation of every shard and the aggregates entry.
 """
+
+import dataclasses
 
 import pytest
 
-from repro.bibliometrics.synthgen import SyntheticCorpusConfig, generate_corpus
+from repro.bibliometrics.columnar import SHARD_ARTIFACT_KIND
+from repro.bibliometrics.shardscan import AGGREGATES_ARTIFACT_KIND
 from repro.experiments import _corpus
 from repro.experiments._corpus import (
-    COLUMNAR_AUTO_THRESHOLD,
-    CORPUS_ARTIFACT_KIND,
     clear_corpus_cache,
     configure_corpus_cache,
-    corpus_cache_dir,
-    estimated_corpus_papers,
-    resolve_backend,
     shared_aggregates_from_config,
     shared_columnar_corpus_from_config,
-    shared_corpus_from_config,
 )
-from repro.experiments.registry import make_spec
-from repro.experiments.sweep import run_sweep
-from tests.backend_oracle import (
-    CORPUS_EXPERIMENTS,
-    assert_backends_agree,
-    result_fingerprint,
-    run_on_backend,
-)
+from repro.experiments.spec import CorpusParams
 
-TINY = SyntheticCorpusConfig(
-    start_year=2023, end_year=2024, seed=7, authors_per_venue_pool=8
+#: Two years of the stock panel (880 papers) cut into three shards.
+SHARDED = dataclasses.replace(
+    _corpus.corpus_config_from_params(
+        7, CorpusParams(start_year=2023, end_year=2024, authors_per_venue_pool=10)
+    ),
+    shard_size=300,
 )
 
 
@@ -45,8 +35,7 @@ TINY = SyntheticCorpusConfig(
 def isolated_corpus_state():
     """Save and restore the module's memory cache and disk setting."""
     saved_memory = dict(_corpus._memory)
-    saved_dir = corpus_cache_dir()
-    configure_corpus_cache(None)
+    saved_dir = configure_corpus_cache(None)
     _corpus._memory.clear()
     yield
     configure_corpus_cache(saved_dir)
@@ -56,222 +45,44 @@ def isolated_corpus_state():
 
 @pytest.fixture
 def counted_generator(monkeypatch):
-    """Count (and keep) real generator calls for the TINY config."""
+    """Count corpus generations (cold or warm) behind the memory LRU."""
     calls = []
-    real = generate_corpus
+    real = _corpus.generate_columnar_corpus
 
-    def counting(config):
+    def counting(config, **kwargs):
         calls.append(config)
-        return real(config)
+        return real(config, **kwargs)
 
-    monkeypatch.setattr(_corpus, "generate_corpus", counting)
+    monkeypatch.setattr(_corpus, "generate_columnar_corpus", counting)
     return calls
-
-
-class TestIdentityRules:
-    """backend/shard_size are execution knobs, not identity."""
-
-    @pytest.mark.parametrize("experiment_id", CORPUS_EXPERIMENTS)
-    def test_backend_knobs_do_not_split_config_hash(self, experiment_id):
-        base = make_spec(experiment_id, "fast")
-        routed = make_spec(
-            experiment_id, "fast",
-            overrides={
-                "corpus.backend": "columnar",
-                "corpus.shard_size": 777,
-            },
-        )
-        assert routed.corpus.backend == "columnar"
-        assert routed.corpus.shard_size == 777
-        assert routed.config_hash() == base.config_hash()
-
-    def test_content_knobs_still_split_config_hash(self):
-        base = make_spec("E1", "fast")
-        scaled = make_spec("E1", "fast", overrides={"corpus.venue_scale": 2.0})
-        assert scaled.config_hash() != base.config_hash()
-
-    def test_identity_dict_excludes_execution_knobs(self):
-        params = make_spec("E1", "fast").corpus
-        identity = params.identity_dict()
-        assert "backend" not in identity
-        assert "shard_size" not in identity
-        assert "start_year" in identity
-
-    def test_to_dict_still_carries_execution_knobs(self):
-        # Fork-pool transport serializes specs with to_dict/from_dict:
-        # the knobs must survive the roundtrip even though the identity
-        # ignores them, or workers would silently fall back to classic.
-        spec = make_spec(
-            "E1", "fast", overrides={"corpus.backend": "columnar"}
-        )
-        revived = type(spec).from_dict(spec.to_dict())
-        assert revived.corpus.backend == "columnar"
-        assert revived.corpus.shard_size == spec.corpus.shard_size
-        assert revived.config_hash() == spec.config_hash()
-
-
-class TestBackendRouting:
-    def test_explicit_backend_wins(self):
-        fast = make_spec("E1", "fast")
-        assert resolve_backend(
-            type(fast.corpus)(**{**fast.corpus.to_dict(), "backend": "classic"})
-        ) == "classic"
-        assert resolve_backend(
-            type(fast.corpus)(**{**fast.corpus.to_dict(), "backend": "columnar"})
-        ) == "columnar"
-
-    def test_auto_routes_small_configs_classic(self):
-        for preset in ("fast", "full"):
-            params = make_spec("E1", preset).corpus
-            assert params.backend == "auto"
-            assert resolve_backend(params) == "classic"
-
-    def test_auto_routes_large_configs_columnar(self):
-        params = make_spec(
-            "E1", "full", overrides={"corpus.venue_scale": 20.0}
-        ).corpus
-        config = _corpus.corpus_config_from_params(0, params)
-        assert estimated_corpus_papers(config) >= COLUMNAR_AUTO_THRESHOLD
-        assert resolve_backend(params) == "columnar"
-
-    def test_pre_backend_params_resolve_classic(self):
-        class Legacy:
-            start_year, end_year, authors_per_venue_pool = 2016, 2025, 60
-
-        assert resolve_backend(Legacy()) == "classic"
-
-    def test_estimated_papers_exact_for_stock_profiles(self):
-        corpus, _ = generate_corpus(TINY)
-        assert estimated_corpus_papers(TINY) == len(corpus)
 
 
 class TestColumnarCaching:
     def test_memory_cache_returns_same_object(self, counted_generator):
-        first = shared_columnar_corpus_from_config(TINY, 50)
-        second = shared_columnar_corpus_from_config(TINY, 50)
+        first = shared_columnar_corpus_from_config(SHARDED)
+        second = shared_columnar_corpus_from_config(SHARDED)
         assert first is second
         assert len(counted_generator) == 1
-
-    def test_shard_size_is_a_distinct_memory_key(self):
-        a = shared_columnar_corpus_from_config(TINY, 50)
-        b = shared_columnar_corpus_from_config(TINY, 75)
-        assert a is not b
-        assert a.fingerprint() != b.fingerprint()  # geometry differs...
-        assert a.to_corpus().to_records() == b.to_corpus().to_records()
-
-    def test_aggregates_scanned_once(self, monkeypatch):
-        scans = []
-        real = _corpus.scan_corpus
-
-        def counting(corpus, min_mentions=1):
-            scans.append(1)
-            return real(corpus, min_mentions)
-
-        monkeypatch.setattr(_corpus, "scan_corpus", counting)
-        first = shared_aggregates_from_config(TINY, 50)
-        second = shared_aggregates_from_config(TINY, 50)
-        assert first is second
-        assert len(scans) == 1
-
-    def test_disk_layout_is_manifest_plus_shards(self, tmp_path):
-        configure_corpus_cache(str(tmp_path))
-        corpus = shared_columnar_corpus_from_config(TINY, 50)
-        n_shards = len(list(corpus.iter_shards()))
-        shard_entries = list((tmp_path / "corpus-shard").glob("*.jsonl"))
-        manifest_entries = list(
-            (tmp_path / CORPUS_ARTIFACT_KIND).glob("*.jsonl")
-        )
-        assert len(shard_entries) == n_shards >= 2
-        # One small manifest — no monolithic classic blob alongside it.
-        assert len(manifest_entries) == 1
+        assert len(list(first.iter_shards())) == 3
 
     def test_warm_replay_streams_bit_identically(self, tmp_path):
         configure_corpus_cache(str(tmp_path))
-        cold = shared_columnar_corpus_from_config(TINY, 50).fingerprint()
+        cold = shared_columnar_corpus_from_config(SHARDED).fingerprint()
         clear_corpus_cache()  # memory only; disk stays warm
-        warm = shared_columnar_corpus_from_config(TINY, 50)
+        warm = shared_columnar_corpus_from_config(SHARDED)
         assert warm.fingerprint() == cold
+        seen = 0
         for _ in warm.iter_shards():
+            seen += 1
             assert warm.resident_shards() <= 1
+        assert seen == 3
 
-    def test_clear_disk_invalidates_both_kinds(
-        self, tmp_path, counted_generator
-    ):
+    def test_clear_disk_invalidates_both_kinds(self, tmp_path, counted_generator):
         configure_corpus_cache(str(tmp_path))
-        shared_columnar_corpus_from_config(TINY, 50)
+        shared_aggregates_from_config(SHARDED)
+        kinds = {path.name: len(list(path.glob("*.jsonl"))) for path in tmp_path.iterdir()}
+        assert kinds == {SHARD_ARTIFACT_KIND: 3, AGGREGATES_ARTIFACT_KIND: 1}
         clear_corpus_cache(disk=True)
-        shared_columnar_corpus_from_config(TINY, 50)
+        assert not list(tmp_path.rglob("*.jsonl"))
+        shared_aggregates_from_config(SHARDED)
         assert len(counted_generator) == 2
-
-    def test_columnar_route_reuses_cached_classic_corpus(
-        self, counted_generator
-    ):
-        shared_corpus_from_config(TINY)
-        shared_columnar_corpus_from_config(TINY, 50)
-        assert len(counted_generator) == 1
-
-
-class TestCrossBackendEquality:
-    """The acceptance bar: byte-identical results, enforced per experiment."""
-
-    @pytest.fixture(scope="class")
-    def full_fingerprints(self):
-        """Both backends at the **full** preset, once per experiment.
-
-        Computed in one pass so the in-memory LRU shares the expensive
-        classic full corpus (and the columnarized shards + aggregates)
-        across all four experiments instead of regenerating per test.
-        """
-        saved_memory = dict(_corpus._memory)
-        saved_dir = configure_corpus_cache(None)
-        _corpus._memory.clear()
-        try:
-            pairs = {}
-            for experiment_id in CORPUS_EXPERIMENTS:
-                pairs[experiment_id] = tuple(
-                    result_fingerprint(
-                        run_on_backend(
-                            experiment_id, backend,
-                            preset="full", shard_size=1500,
-                        )
-                    )
-                    for backend in ("classic", "columnar")
-                )
-            return pairs
-        finally:
-            configure_corpus_cache(saved_dir)
-            _corpus._memory.clear()
-            _corpus._memory.update(saved_memory)
-
-    @pytest.mark.parametrize("experiment_id", CORPUS_EXPERIMENTS)
-    def test_full_preset_fingerprints_identical(
-        self, experiment_id, full_fingerprints
-    ):
-        classic, columnar = full_fingerprints[experiment_id]
-        assert classic == columnar, (
-            f"{experiment_id} full: classic {classic} != columnar {columnar}"
-        )
-
-    def test_fast_preset_nonzero_seed(self):
-        # Seed handling is the classic aliasing bug: make sure the
-        # columnar route keys its caches on the seeded config too.
-        assert_backends_agree("E1", preset="fast", seed=3, shard_size=1100)
-
-
-class TestSweepAcrossBackends:
-    def test_classic_warmed_cache_serves_columnar_rerun(self, tmp_path):
-        grid = {"seed": [0]}
-        cold = run_sweep(
-            "E1", grid, preset="fast",
-            base_overrides={"corpus.backend": "classic"},
-            cache_dir=str(tmp_path),
-        )
-        assert [p.source for p in cold.points] == ["run"]
-        clear_corpus_cache()
-        replay = run_sweep(
-            "E1", grid, preset="fast",
-            base_overrides={"corpus.backend": "columnar"},
-            cache_dir=str(tmp_path),
-        )
-        assert [p.source for p in replay.points] == ["cache"]
-        assert replay.fingerprint() == cold.fingerprint()

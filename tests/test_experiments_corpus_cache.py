@@ -1,32 +1,57 @@
-"""Tests for the shared-corpus cache (repro.experiments._corpus).
+"""Tests for the shared experiment corpus (repro.experiments._corpus).
 
-Covers the explicit two-level cache that replaced ``lru_cache`` corpus
-pinning: in-memory LRU behavior, ``clear_corpus_cache`` (memory and
-disk), the on-disk artifact-cache path, and — critical for parallel
-determinism — serialization roundtrip fidelity: a corpus loaded from
-the cache must be indistinguishable from the one that was generated.
+Covers the two-level cache over the shard-parallel generator: the
+in-memory LRU (one generation and one scan per key),
+``clear_corpus_cache`` (memory and disk), the disk layout (shards plus
+one aggregates entry), warm replays that are bit-identical to cold runs
+and classify no text, the aggregates codec, and the spec schema bump
+that keeps results of the earlier generator from being served.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.bibliometrics.synthgen import SyntheticCorpusConfig, generate_corpus
-from repro.experiments import _corpus
+from repro.bibliometrics import shardscan
+from repro.bibliometrics.shardscan import AGGREGATES_ARTIFACT_KIND, CorpusAggregates
+from repro.experiments import _corpus, spec as spec_module
 from repro.experiments._corpus import (
-    CORPUS_ARTIFACT_KIND,
     clear_corpus_cache,
     configure_corpus_cache,
     corpus_cache_dir,
-    shared_corpus,
+    corpus_config,
+    shared_aggregates_from_config,
+    shared_columnar_corpus_from_config,
+    stock_corpus_papers,
 )
+from repro.experiments.registry import get_experiment, make_spec
+from repro.experiments.spec import CorpusParams
+from repro.experiments.sweep import run_sweep
+
+CORPUS_EXPERIMENTS = ("E1", "E2", "E3", "E12")
+
+
+def tiny(seed: int):
+    """Two years, small pools: 880 papers, one shard."""
+    return _corpus.corpus_config_from_params(
+        seed, CorpusParams(start_year=2023, end_year=2024, authors_per_venue_pool=10)
+    )
+
+
+TINY = tiny(7)
+
+
+def result_fingerprint(result) -> str:
+    blob = json.dumps(result.to_payload(), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 @pytest.fixture(autouse=True)
 def isolated_corpus_state():
     """Save and restore the module's memory cache and disk setting."""
     saved_memory = dict(_corpus._memory)
-    saved_dir = corpus_cache_dir()
+    saved_dir = configure_corpus_cache(None)
     _corpus._memory.clear()
     yield
     configure_corpus_cache(saved_dir)
@@ -35,95 +60,208 @@ def isolated_corpus_state():
 
 
 @pytest.fixture
-def tiny_generator(monkeypatch):
-    """Replace the real generator with a tiny, counted one."""
+def generations(monkeypatch):
+    """Count corpus generations (cold or warm) behind the memory LRU."""
     calls = []
-    tiny_config = SyntheticCorpusConfig(
-        start_year=2023, end_year=2024, seed=1, authors_per_venue_pool=8
-    )
+    real = _corpus.generate_columnar_corpus
 
-    def fake_generate(config):
+    def counting(config, **kwargs):
         calls.append(config)
-        return generate_corpus(tiny_config)
+        return real(config, **kwargs)
 
-    monkeypatch.setattr(_corpus, "generate_corpus", fake_generate)
+    monkeypatch.setattr(_corpus, "generate_columnar_corpus", counting)
+    return calls
+
+
+@pytest.fixture
+def classifications(monkeypatch):
+    """Count per-paper text classifications done by the scan."""
+    calls = []
+    real = shardscan.classify_text
+
+    def counting(text):
+        calls.append(1)
+        return real(text)
+
+    monkeypatch.setattr(shardscan, "classify_text", counting)
     return calls
 
 
 class TestRoundtripFidelity:
     def test_serialize_deserialize_is_lossless(self):
-        config = SyntheticCorpusConfig(
-            start_year=2022, end_year=2024, seed=5, authors_per_venue_pool=10
+        aggregates = shared_aggregates_from_config(TINY)
+        # through JSON with sorted keys, exactly as the artifact cache stores it
+        records = json.loads(json.dumps(aggregates.to_records(), sort_keys=True))
+        loaded = CorpusAggregates.from_records(records)
+        assert loaded == aggregates
+        # integer keys and iteration order (what E12 consumes) survive
+        assert list(loaded.author_papers.items()) == list(
+            aggregates.author_papers.items()
         )
-        corpus, truth = generate_corpus(config)
-        # through JSON, exactly as the artifact cache stores it
-        records = json.loads(json.dumps(_corpus._serialize(corpus, truth)))
-        loaded_corpus, loaded_truth = _corpus._deserialize(records)
-        assert loaded_corpus.to_records() == corpus.to_records()
-        assert loaded_truth.human_methods == truth.human_methods
-        assert loaded_truth.positionality == truth.positionality
-        # iteration order (what experiments consume) is preserved too
-        assert [p.paper_id for p in loaded_corpus] == [
-            p.paper_id for p in corpus
-        ]
+        assert list(loaded.venue_year) == list(aggregates.venue_year)
 
     def test_unknown_table_rejected(self):
+        header = CorpusAggregates().to_records()[0]
         with pytest.raises(ValueError):
-            _corpus._deserialize([{"table": "nope", "row": {}}])
+            CorpusAggregates.from_records([header, {"field": "nope", "items": []}])
+        with pytest.raises(ValueError):
+            CorpusAggregates.from_records([])
+
+
+class TestCorpusConfig:
+    def test_estimated_papers_exact_for_stock_profiles(self):
+        assert len(shared_columnar_corpus_from_config(TINY)) == TINY.total_papers
+        assert stock_corpus_papers(2016, 2025) == corpus_config().total_papers == 4400
+        assert corpus_config(fast=False).total_papers == 11_440
+        assert TINY.shard_size == _corpus.SHARD_SIZE
 
 
 class TestMemoryCache:
-    def test_generated_once_per_key(self, tiny_generator):
-        first = shared_corpus(seed=91, fast=True)
-        second = shared_corpus(seed=91, fast=True)
-        assert len(tiny_generator) == 1
+    def test_generated_once_per_key(self, generations):
+        first = shared_columnar_corpus_from_config(TINY)
+        second = shared_columnar_corpus_from_config(TINY)
+        assert len(generations) == 1
         assert first is second
 
-    def test_distinct_keys_generate_separately(self, tiny_generator):
-        shared_corpus(seed=91, fast=True)
-        shared_corpus(seed=92, fast=True)
-        assert len(tiny_generator) == 2
+    def test_distinct_keys_generate_separately(self, generations):
+        shared_columnar_corpus_from_config(tiny(91))
+        shared_columnar_corpus_from_config(tiny(92))
+        assert len(generations) == 2
 
-    def test_clear_corpus_cache_forces_regeneration(self, tiny_generator):
-        shared_corpus(seed=91, fast=True)
+    def test_clear_corpus_cache_forces_regeneration(self, generations):
+        shared_columnar_corpus_from_config(TINY)
         clear_corpus_cache()
-        shared_corpus(seed=91, fast=True)
-        assert len(tiny_generator) == 2
+        shared_columnar_corpus_from_config(TINY)
+        assert len(generations) == 2
 
-    def test_lru_evicts_oldest(self, tiny_generator):
+    def test_lru_evicts_oldest(self, generations):
         for seed in range(91, 91 + _corpus._MEMORY_SLOTS + 1):
-            shared_corpus(seed=seed, fast=True)
-        generated = len(tiny_generator)
-        shared_corpus(seed=91, fast=True)  # evicted -> regenerated
-        assert len(tiny_generator) == generated + 1
+            shared_columnar_corpus_from_config(tiny(seed))
+        generated = len(generations)
+        shared_columnar_corpus_from_config(tiny(91))  # evicted -> regenerated
+        assert len(generations) == generated + 1
+
+    def test_aggregates_scanned_once(self, classifications):
+        first = shared_aggregates_from_config(TINY)
+        second = shared_aggregates_from_config(TINY)
+        assert first is second
+        assert len(classifications) == TINY.total_papers
 
 
 class TestDiskCache:
-    def test_disk_entry_survives_memory_clear(self, tiny_generator, tmp_path):
+    def test_disk_entry_survives_memory_clear(self, monkeypatch, tmp_path):
+        from repro.bibliometrics import shardgen
+
+        built = []
+        real = shardgen.generate_shard
+        monkeypatch.setattr(
+            shardgen, "generate_shard", lambda *a: built.append(a) or real(*a)
+        )
         configure_corpus_cache(str(tmp_path))
-        shared_corpus(seed=91, fast=True)
-        assert len(tiny_generator) == 1
-        assert any((tmp_path / CORPUS_ARTIFACT_KIND).iterdir())
+        shared_columnar_corpus_from_config(TINY)
+        assert len(built) == 1
         clear_corpus_cache()  # memory only
-        shared_corpus(seed=91, fast=True)
-        assert len(tiny_generator) == 1  # loaded from disk, not regenerated
+        list(shared_columnar_corpus_from_config(TINY).iter_shards())
+        assert len(built) == 1  # loaded from disk, not regenerated
 
-    def test_clear_disk_invalidates_artifacts(self, tiny_generator, tmp_path):
+    def test_disk_layout_is_shards_plus_aggregates(self, tmp_path):
         configure_corpus_cache(str(tmp_path))
-        shared_corpus(seed=91, fast=True)
+        shared_aggregates_from_config(TINY)
+        kinds = {path.name: len(list(path.glob("*.jsonl"))) for path in tmp_path.iterdir()}
+        assert kinds == {"corpus-shard": 1, AGGREGATES_ARTIFACT_KIND: 1}
+
+    def test_clear_disk_invalidates_artifacts(self, tmp_path, generations, classifications):
+        configure_corpus_cache(str(tmp_path))
+        shared_aggregates_from_config(TINY)
         clear_corpus_cache(disk=True)
-        shared_corpus(seed=91, fast=True)
-        assert len(tiny_generator) == 2
+        assert not list(tmp_path.rglob("*.jsonl"))
+        shared_aggregates_from_config(TINY)
+        assert len(generations) == 2
+        assert len(classifications) == 2 * TINY.total_papers
 
-    def test_cached_corpus_equals_generated(self, tiny_generator, tmp_path):
+    def test_cached_corpus_equals_generated(self, tmp_path):
         configure_corpus_cache(str(tmp_path))
-        generated_corpus, generated_truth = shared_corpus(seed=91, fast=True)
+        cold = shared_columnar_corpus_from_config(TINY).fingerprint()
         clear_corpus_cache()
-        loaded_corpus, loaded_truth = shared_corpus(seed=91, fast=True)
-        assert loaded_corpus.to_records() == generated_corpus.to_records()
-        assert loaded_truth.human_methods == generated_truth.human_methods
+        warm = shared_columnar_corpus_from_config(TINY)
+        assert warm.fingerprint() == cold
+        for _ in warm.iter_shards():
+            assert warm.resident_shards() <= 1
+
+    def test_warm_load_classifies_nothing(self, tmp_path, classifications):
+        cold = shared_aggregates_from_config(TINY)  # no disk cache: fresh scan
+        configure_corpus_cache(str(tmp_path))
+        clear_corpus_cache()
+        shared_aggregates_from_config(TINY)  # cold disk: scanned and persisted
+        clear_corpus_cache()
+        del classifications[:]
+        warm = shared_aggregates_from_config(TINY)
+        assert classifications == []
+        assert warm == cold
 
     def test_configure_returns_previous(self, tmp_path):
         previous = configure_corpus_cache(str(tmp_path))
         assert corpus_cache_dir() == str(tmp_path)
         assert configure_corpus_cache(previous) == str(tmp_path)
+
+
+def cold_then_warm(preset, seed, cache_dir, experiments=CORPUS_EXPERIMENTS):
+    """Fingerprints from a fresh in-memory scan, then from persisted aggregates."""
+    specs = [make_spec(e, preset, seed=seed) for e in experiments]
+
+    def run_all():
+        clear_corpus_cache()
+        return [result_fingerprint(get_experiment(s.EXPERIMENT_ID)(s)) for s in specs]
+
+    cold = run_all()
+    configure_corpus_cache(str(cache_dir))
+    run_all()  # scans once more and persists
+    warm = run_all()
+    configure_corpus_cache(None)
+    clear_corpus_cache()
+    return dict(zip(experiments, zip(cold, warm)))
+
+
+class TestColdWarmEquality:
+    @pytest.fixture(scope="class")
+    def full_fingerprints(self, tmp_path_factory):
+        saved = configure_corpus_cache(None)
+        try:
+            return cold_then_warm("full", 0, tmp_path_factory.mktemp("full"))
+        finally:
+            configure_corpus_cache(saved)
+
+    @pytest.mark.parametrize("experiment_id", CORPUS_EXPERIMENTS)
+    def test_full_preset_fingerprints_identical(self, experiment_id, full_fingerprints):
+        cold, warm = full_fingerprints[experiment_id]
+        assert cold == warm
+
+    def test_fast_preset_nonzero_seed(self, tmp_path):
+        # The classic aliasing bug: every cache layer must key on the seed.
+        seed3 = cold_then_warm("fast", 3, tmp_path / "a", ("E1",))["E1"]
+        seed0 = cold_then_warm("fast", 0, tmp_path / "b", ("E1",))["E1"]
+        assert seed3[0] == seed3[1] != seed0[0]
+
+
+class TestSpecSchema:
+    @pytest.mark.parametrize("experiment_id", CORPUS_EXPERIMENTS)
+    def test_pre_change_memo_entry_is_a_miss(self, experiment_id, tmp_path, monkeypatch):
+        # Memoize under the v1 identity (results of the earlier generator)...
+        with monkeypatch.context() as patch:
+            patch.setattr(spec_module, "SPEC_SCHEMA_VERSION", 1)
+            old = run_sweep(experiment_id, {"seed": [0]}, cache_dir=tmp_path)
+            old_hash = old.points[0].spec.config_hash()
+        # ...and the same spec under v2 must recompute, not replay them.
+        new = run_sweep(experiment_id, {"seed": [0]}, cache_dir=tmp_path)
+        assert [p.source for p in new.points] == ["run"]
+        assert new.points[0].spec.config_hash() != old_hash
+
+    def test_content_knobs_still_split_config_hash(self):
+        base = make_spec("E1", "fast")
+        scaled = make_spec("E1", "fast", overrides={"corpus.venue_scale": 2.0})
+        assert scaled.config_hash() != base.config_hash()
+
+    def test_corpus_params_has_only_content_fields(self):
+        assert list(CorpusParams().to_dict()) == [
+            "start_year", "end_year", "authors_per_venue_pool", "venue_scale",
+        ]

@@ -115,9 +115,8 @@ class TestCorpusPositionalityPipeline:
     """Synthetic corpus -> extractor, cross-package consistency."""
 
     def test_generated_statements_are_extractable(self):
-        from repro.bibliometrics.synthgen import (
-            SyntheticCorpusConfig, generate_corpus,
-        )
+        from tests.synthgen_oracle import SyntheticCorpusConfig, generate_corpus
+
         corpus, truth = generate_corpus(
             SyntheticCorpusConfig(start_year=2022, end_year=2023, seed=9,
                                   authors_per_venue_pool=20)

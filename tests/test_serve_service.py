@@ -139,6 +139,16 @@ class TestReadThrough:
             )
             assert not_modified.status == 304
 
+    def test_pre_change_corpus_stats_entry_is_a_miss(self, tmp_path):
+        # Stats of the earlier generator were keyed by its config shape.
+        service = make_service(tmp_path)
+        old_key = {"start_year": 2016, "end_year": 2025, "seed": 0,
+                   "authors_per_venue_pool": 60, "venue_scale": 1.0}
+        service.cache.put("corpus-stats", old_key, [{"papers": -1}])
+        response = respond(service, "/v1/corpus?seed=0&preset=fast")
+        assert response.status == 200
+        assert response.headers["X-Cache"] == "computed"
+
 
 class TestCoalescing:
     def test_n_concurrent_cold_requests_run_one_job(self, tmp_path, monkeypatch):
