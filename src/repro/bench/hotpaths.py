@@ -201,7 +201,7 @@ def _run_synthgen(repeats: int) -> list[dict]:
 
 
 def _run_corpus_scan(repeats: int) -> list[dict]:
-    """Per-shard methods_detect over a fixed corpus, papers/second."""
+    """The block-matcher corpus scan over a fixed corpus, papers/second."""
     from repro.bibliometrics.shardgen import (
         ShardedCorpusConfig,
         generate_columnar_corpus,
@@ -223,8 +223,8 @@ def _run_corpus_scan(repeats: int) -> list[dict]:
         "corpus_scan", _SCAN_PAPERS / seconds,
         metric="papers_per_second", unit="papers/second", better="higher",
         context={"repeats": repeats, "papers": _SCAN_PAPERS,
-                 "shards": corpus.n_shards, "best_seconds": seconds,
-                 "cpu_count": os.cpu_count()},
+                 "shards": corpus.n_shards, "matcher": "block",
+                 "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]
 
 
@@ -253,7 +253,7 @@ def _run_experiment_scan(repeats: int) -> list[dict]:
         "experiment_scan", papers / seconds,
         metric="papers_per_second", unit="papers/second", better="higher",
         context={"repeats": repeats, "papers": papers, "corpus": "shardgen",
-                 "shards": corpus.n_shards, "preset": "fast",
+                 "shards": corpus.n_shards, "preset": "fast", "matcher": "block",
                  "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]
 

@@ -23,9 +23,10 @@ alternation costs the sum of the per-family scans plus bookkeeping; the
 token index skips all positions whose word can't start any phrase.  The
 scanner preserves the per-family semantics exactly — each family yields
 its own greedy left-to-right non-overlapping matches, families never
-consume text from each other — which
-:class:`LexiconScanner.detect_multipass` (the naive reference
-implementation) pins down in tests and benchmarks.
+consume text from each other — which the naive per-family ``finditer``
+reference in the tests pins down.  The same first-word index
+(:class:`FirstWordIndex`) drives the block-level corpus matcher in
+:mod:`repro.bibliometrics.shardscan`.
 """
 
 from __future__ import annotations
@@ -177,6 +178,34 @@ class MethodMention:
         return self.family in HUMAN_METHOD_FAMILIES
 
 
+@dataclass(frozen=True)
+class FirstWordIndex:
+    """Where a lexicon selection's phrases can start, keyed by first word.
+
+    Every indexable phrase starts with a word character, so it can only
+    match at the start of a ``\\w+`` token.  A *chunk* is one ``\\w+``
+    run of a phrase, lowercased (``"co-design"`` has chunks ``co`` and
+    ``design``).
+
+    Attributes:
+        exact: First chunk -> families with a phrase starting there; a
+            token must *equal* the chunk to start a match.
+        stems: Stem (a first token ending in ``*``) -> families; a token
+            must *start with* the stem.
+        stem_lengths: The distinct stem lengths, ascending.
+        followers: Exact first chunk -> the second chunks of its
+            phrases, for chunks whose every phrase has a second chunk.
+            A match there also needs the *next* token to start with one
+            of them, since only whitespace or the phrase's own non-word
+            characters separate the two chunks.
+    """
+
+    exact: dict[str, tuple[str, ...]]
+    stems: dict[str, tuple[str, ...]]
+    stem_lengths: tuple[int, ...]
+    followers: dict[str, tuple[str, ...]]
+
+
 class LexiconScanner:
     """Single-pass multi-family phrase scanner over a lexicon.
 
@@ -213,10 +242,7 @@ class LexiconScanner:
             for family, phrases in families.items()
         }
         self._combined: dict[tuple[str, ...], re.Pattern] = {}
-        self._indexes: dict[
-            tuple[str, ...],
-            tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]], tuple[int, ...]] | None,
-        ] = {}
+        self._indexes: dict[tuple[str, ...], FirstWordIndex | None] = {}
 
     def pattern_for(self, family: str) -> re.Pattern:
         """The compiled single-family pattern (KeyError when unknown)."""
@@ -241,26 +267,32 @@ class LexiconScanner:
         if unknown:
             raise KeyError(f"unknown method families: {unknown}")
 
-    def _index_for(
-        self, selected: tuple[str, ...]
-    ) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]], tuple[int, ...]] | None:
-        """The first-word index for ``selected``, cached; None when the
-        selection contains a phrase the token scan cannot cover."""
+    def first_word_index(
+        self, families: tuple[str, ...] | None = None
+    ) -> FirstWordIndex | None:
+        """The first-word index for ``families`` (default: all), cached.
+
+        None when the selection contains a phrase whose first word does
+        not start with a word character: such a phrase can match away
+        from a token start, so no token index covers it.
+        """
+        selected = tuple(families) if families is not None else self.families
         if selected in self._indexes:
             return self._indexes[selected]
-        exact: dict[str, list[str]] = {}
-        stems: dict[str, list[str]] = {}
-        indexable = True
-        for family in selected:
-            for phrase in self._family_phrases[family]:
+        phrases = [
+            (family, phrase)
+            for family in selected
+            for phrase in self._family_phrases[family]
+        ]
+        index = None
+        if all(_WORD_RE.match(phrase.split()[0]) for _, phrase in phrases):
+            exact: dict[str, list[str]] = {}
+            stems: dict[str, list[str]] = {}
+            followers: dict[str, set[str] | None] = {}
+            for family, phrase in phrases:
                 token = phrase.split()[0]
-                chunk_match = _WORD_RE.match(token)
-                if chunk_match is None:
-                    # First word starts with a non-word character: its
-                    # matches need not begin at a token start.
-                    indexable = False
-                    break
-                chunk = chunk_match.group().lower()
+                chunks = [chunk.lower() for chunk in _WORD_RE.findall(phrase)]
+                chunk = chunks[0]
                 if token.endswith("*") and token[:-1].lower() == chunk:
                     # Stem wildcard: any token *starting with* the stem
                     # is a candidate.
@@ -270,16 +302,22 @@ class LexiconScanner:
                     # continuation) right after the chunk, so only a
                     # token *equal to* the chunk can start a match.
                     bucket = exact.setdefault(chunk, [])
+                    seconds = followers.setdefault(chunk, set())
+                    if seconds is not None and len(chunks) > 1:
+                        seconds.add(chunks[1])
+                    else:
+                        followers[chunk] = None
                 if family not in bucket:
                     bucket.append(family)
-            if not indexable:
-                break
-        index = None
-        if indexable:
-            index = (
-                {chunk: tuple(fams) for chunk, fams in exact.items()},
-                {chunk: tuple(fams) for chunk, fams in stems.items()},
-                tuple(sorted({len(chunk) for chunk in stems})),
+            index = FirstWordIndex(
+                exact={chunk: tuple(fams) for chunk, fams in exact.items()},
+                stems={chunk: tuple(fams) for chunk, fams in stems.items()},
+                stem_lengths=tuple(sorted({len(chunk) for chunk in stems})),
+                followers={
+                    chunk: tuple(sorted(seconds))
+                    for chunk, seconds in followers.items()
+                    if seconds is not None
+                },
             )
         self._indexes[selected] = index
         return index
@@ -289,16 +327,16 @@ class LexiconScanner:
     ) -> list[MethodMention]:
         """Scan ``text`` once; mentions sorted by offset, then family.
 
-        Semantically identical to :meth:`detect_multipass` (enforced by
-        tests), at one tokenizing traversal of ``text`` instead of one
-        full regex pass per family.
+        Semantically identical to one ``finditer`` pass per family
+        (enforced by tests against that reference), at one tokenizing
+        traversal of ``text`` instead of one full regex pass per family.
         """
         selected = tuple(families) if families is not None else self.families
         self._check_selection(selected)
-        index = self._index_for(selected)
+        index = self.first_word_index(selected)
         if index is None:
             return self._detect_stepping(text, selected)
-        exact, stems, stem_lengths = index
+        exact, stems, stem_lengths = index.exact, index.stems, index.stem_lengths
         patterns = self._family_patterns
         # Per-family resume offset: a family's next match must start at
         # or after the end of its previous one (finditer semantics).
@@ -374,26 +412,9 @@ class LexiconScanner:
         mentions.sort(key=lambda m: (m.start, m.family))
         return mentions
 
-    def detect_multipass(
-        self, text: str, families: tuple[str, ...] | None = None
-    ) -> list[MethodMention]:
-        """Reference implementation: one ``finditer`` pass per family.
-
-        Kept as the semantic oracle for the single-pass scanner — the
-        equivalence tests and the speedup benchmark compare against it.
-        """
-        selected = families if families is not None else self.families
-        self._check_selection(selected)
-        mentions: list[MethodMention] = []
-        for family in selected:
-            for match in self._family_patterns[family].finditer(text):
-                mentions.append(MethodMention(family, match.group(), match.start()))
-        mentions.sort(key=lambda m: (m.start, m.family))
-        return mentions
-
 
 #: The default scanner over :data:`METHOD_FAMILIES`.
-_SCANNER = LexiconScanner(METHOD_FAMILIES)
+DEFAULT_SCANNER = LexiconScanner(METHOD_FAMILIES)
 
 
 def detect_methods(text: str, families: tuple[str, ...] | None = None) -> list[MethodMention]:
@@ -406,16 +427,17 @@ def detect_methods(text: str, families: tuple[str, ...] | None = None) -> list[M
     Returns:
         Mentions sorted by offset, then family.
     """
-    return _SCANNER.detect(text, families)
+    return DEFAULT_SCANNER.detect(text, families)
 
 
 def classify_text(text: str) -> dict[str, int]:
     """Count method mentions per family in raw text.
 
-    Families with zero hits are omitted.  This is the per-shard entry
-    point (:mod:`repro.bibliometrics.shardscan` feeds it text sliced
-    straight from a shard's string pools); :func:`classify_paper` is
-    the dataclass wrapper over it.
+    Families with zero hits are omitted.  This is the per-paper
+    definition the corpus scan must reproduce:
+    :mod:`repro.bibliometrics.shardscan` calls it for blocks holding
+    non-ASCII text and matches ASCII blocks in one pass to the same
+    counts.  :func:`classify_paper` is the dataclass wrapper over it.
     """
     counts: dict[str, int] = {}
     for mention in detect_methods(text):

@@ -12,16 +12,27 @@ in-tree ``MetricsRegistry.merge`` pattern:
 
 One shard is resident at a time (the scan drives
 :meth:`ColumnarCorpus.iter_shards`, so streaming corpora stay
-streamed), each paper's text is scanned exactly once, and the classic
-dataclass pipeline remains in place as the equivalence oracle — the
-tests assert that :func:`scan_corpus` + the ``*_from_counts`` helpers
-in :mod:`repro.bibliometrics.trends` reproduce ``adoption_series`` /
-``venue_adoption_table`` verbatim.
+streamed), and the classic dataclass pipeline remains in place as the
+equivalence oracle — the tests assert that :func:`scan_corpus` + the
+``*_from_counts`` helpers in :mod:`repro.bibliometrics.trends`
+reproduce ``adoption_series`` / ``venue_adoption_table`` verbatim.
+
+Text is classified a block of :data:`BLOCK_PAPERS` papers at a time.
+An ASCII block is joined into one string and scanned by a block
+matcher: numpy finds the tokens that could start a lexicon phrase, the
+family patterns confirm exactly at those sites, and statement markers
+are found with ``str.find``, so only marked papers reach the
+positionality detector.  A block with any non-ASCII text falls back to
+per-paper :func:`~repro.bibliometrics.methods_detect.classify_text`.
+Either way the counts equal those of classifying each paper alone.
 """
 
 from __future__ import annotations
 
+import bisect
+import re
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -29,7 +40,9 @@ import numpy as np
 
 from repro.bibliometrics.columnar import ColumnarCorpus, ColumnarShard, CorpusVocab
 from repro.bibliometrics.methods_detect import (
+    DEFAULT_SCANNER,
     HUMAN_METHOD_FAMILIES,
+    LexiconScanner,
     classify_text,
 )
 from repro.core.positionality import (
@@ -202,32 +215,280 @@ class CorpusAggregates:
         return aggregates
 
 
-def _positionality_candidates(shard: ColumnarShard) -> np.ndarray:
-    """Papers that *might* carry a positionality statement (boolean mask).
+#: Papers per block of the block matcher.  Large enough that the numpy
+#: passes amortise; small enough that a block's transient arrays stay
+#: around a megabyte whatever the shard size.
+BLOCK_PAPERS = 512
 
-    :func:`has_positionality_statement` starts by hunting for one of a
-    handful of marker phrases, and the overwhelming majority of papers
-    carry none — so this prefilter finds every marker occurrence in the
-    shard's concatenated text blobs at C speed and flags only the
-    papers they land in.  A marker cannot contain the ``"\\n\\n"`` that
-    joins a paper's full text, so a marker in the full text is a marker
-    in one of the three columns: the mask is a superset of the true
-    detections (a straddle across adjacent papers in a blob can
-    over-flag, never under-flag), and the real detector has the final
-    word on every flagged paper.
+#: Joins a block's papers.  It is neither ``\w`` nor ``\s`` and occurs in
+#: no lexicon phrase or statement marker, so no pattern matches across
+#: two papers and ``\b`` holds at each paper's edges exactly as at the
+#: ends of a lone paper's text.
+_SEPARATOR = "\x00"
+
+#: ASCII code -> is a ``\w`` character (the token alphabet).
+_WORD_BYTES = np.array([re.match(r"\w", chr(code)) is not None for code in range(128)])
+
+#: Little-endian bytes a token head holds (see :func:`_head_key`).
+_HEAD_BYTES = 8
+
+
+def _head_key(chunk: str) -> int:
+    """The first :data:`_HEAD_BYTES` bytes of an ASCII chunk as an integer.
+
+    Tokens never contain a zero byte, so for a chunk shorter than the
+    head the zero padding also pins its length: equal keys mean equal
+    strings.  Longer chunks compare by prefix only, which can admit a
+    false candidate but never loses a real one.
     """
-    flags = np.zeros(shard.n_papers, dtype=bool)
-    for column in (shard.title, shard.abstract, shard.body):
-        blob = column.blob.lower()
-        offsets = column.offsets
-        for marker in STATEMENT_MARKERS:
-            start = blob.find(marker)
-            while start != -1:
-                paper = int(np.searchsorted(offsets, start, side="right")) - 1
-                if 0 <= paper < shard.n_papers:
-                    flags[paper] = True
-                start = blob.find(marker, start + 1)
-    return flags
+    return int.from_bytes(chunk[:_HEAD_BYTES].encode("ascii"), "little")
+
+
+def _prefix_tables(chunks) -> list[tuple[int, np.uint64, np.ndarray]]:
+    """``(length, head mask, sorted head keys)`` per distinct chunk length.
+
+    A token *starts with* one of ``chunks`` iff, for some row, it is at
+    least ``length`` long and its masked head is among the keys (up to
+    the head-prefix superset of :func:`_head_key`).
+    """
+    by_length: dict[int, set[int]] = {}
+    for chunk in chunks:
+        by_length.setdefault(len(chunk), set()).add(_head_key(chunk))
+    tables = []
+    for length, keys in sorted(by_length.items()):
+        width = min(length, _HEAD_BYTES)
+        mask = np.uint64((1 << (8 * width)) - 1)
+        tables.append((length, mask, np.array(sorted(keys), dtype=np.uint64)))
+    return tables
+
+
+def _starts_with_any(heads, lengths, tables) -> np.ndarray:
+    """Boolean mask: which tokens start with a chunk of ``tables``."""
+    hit = np.zeros(len(heads), dtype=bool)
+    for length, mask, keys in tables:
+        hit |= (lengths >= length) & np.isin(heads & mask, keys)
+    return hit
+
+
+class _BlockMatcher:
+    """Method-mention counts for a block of ASCII papers in one pass.
+
+    Built from a scanner's first-word index.  Over the lowered block it
+    finds every ``\\w+`` token with a byte lookup table and keeps those
+    the index admits: equal to an exact first chunk (and, when every
+    phrase under that chunk has a second chunk, followed by a token
+    starting with one), or starting with a stem.  That is a superset of
+    the sites where a phrase matches.  At each such site the
+    family's compiled pattern confirms with ``.match(block, start)`` and
+    a per-family resume offset — the call :meth:`LexiconScanner.detect`
+    makes — so the counts are exactly those of per-paper
+    :func:`classify_text`.
+    """
+
+    def __init__(self, scanner: LexiconScanner) -> None:
+        index = scanner.first_word_index()
+        if index is None or not all(map(str.isascii, [
+            *index.exact, *index.stems, *chain(*index.followers.values())
+        ])):
+            # A phrase off token starts has no index, and case-insensitive
+            # matching can meet a non-ASCII chunk in ASCII text (the long
+            # s, "ſ", matches "s").
+            raise ValueError("the block matcher needs an indexable ASCII lexicon")
+        self.index = index
+        self.families = scanner.families
+        self.patterns = [scanner.pattern_for(f) for f in self.families]
+        self.family_ids = {family: i for i, family in enumerate(self.families)}
+        self.human = np.array(
+            [family in HUMAN_METHOD_FAMILIES for family in self.families]
+        )
+        gated = set(index.followers)
+        self.free_keys = np.array(
+            sorted({_head_key(c) for c in index.exact if c not in gated}),
+            dtype=np.uint64,
+        )
+        self.gated_keys = np.array(
+            sorted({_head_key(c) for c in gated}), dtype=np.uint64
+        )
+        self.follower_tables = _prefix_tables(set(chain(*index.followers.values())))
+        self.stem_tables = _prefix_tables(index.stems)
+
+    def _candidate_tokens(self, lowered: str) -> tuple[np.ndarray, np.ndarray]:
+        """Starts and ends of the tokens the first-word index admits."""
+        codes = np.frombuffer(lowered.encode("ascii"), dtype=np.uint8)
+        edges = np.diff(_WORD_BYTES[codes].view(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        ends = np.flatnonzero(edges == -1)
+        lengths = ends - starts
+        padded = np.zeros(len(codes) + _HEAD_BYTES, dtype=np.uint8)
+        padded[: len(codes)] = codes
+        windows = np.lib.stride_tricks.sliding_window_view(padded, _HEAD_BYTES)[starts]
+        windows[np.arange(_HEAD_BYTES) >= lengths[:, None]] = 0
+        heads = windows.view("<u8").ravel()
+
+        keep = np.isin(heads, self.free_keys)
+        keep |= _starts_with_any(heads, lengths, self.stem_tables)
+        gated = np.flatnonzero(np.isin(heads, self.gated_keys))
+        gated = gated[gated + 1 < len(heads)]
+        keep[gated] |= _starts_with_any(
+            heads[gated + 1], lengths[gated + 1], self.follower_tables
+        )
+        return starts[keep], ends[keep]
+
+    def _hits(self, block: str, lowered: str) -> tuple[np.ndarray, np.ndarray]:
+        """Confirmed mentions as ``(start offsets, family ids)``, in order."""
+        exact_get = self.index.exact.get
+        stems_get = self.index.stems.get
+        stem_lengths = self.index.stem_lengths
+        family_ids = self.family_ids
+        patterns = self.patterns
+        resume = [0] * len(self.families)
+        hit_starts: list[int] = []
+        hit_families: list[int] = []
+        starts, ends = self._candidate_tokens(lowered)
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            token = lowered[start:end]
+            families = exact_get(token, ())
+            for length in stem_lengths:
+                if length > end - start:
+                    break
+                families += stems_get(token[:length], ())
+            for family in families:
+                fid = family_ids[family]
+                if start < resume[fid]:
+                    continue
+                hit = patterns[fid].match(block, start)
+                if hit is not None:
+                    hit_starts.append(start)
+                    hit_families.append(fid)
+                    resume[fid] = hit.end()
+        return (
+            np.array(hit_starts, dtype=np.int64),
+            np.array(hit_families, dtype=np.int64),
+        )
+
+    def classify(
+        self, block: str, lowered: str, paper_starts: np.ndarray
+    ) -> tuple[list[tuple[str, int]], np.ndarray]:
+        """``(family_counts, human_mentions)`` as :func:`_classify_block`
+        returns them, for papers starting at ``paper_starts`` in ``block``."""
+        hit_starts, hit_families = self._hits(block, lowered)
+        hit_papers = np.searchsorted(paper_starts, hit_starts, side="right") - 1
+        human = np.bincount(
+            hit_papers[self.human[hit_families]], minlength=len(paper_starts) - 1
+        )
+        totals = np.bincount(hit_families, minlength=len(self.families))
+        first = np.full(len(self.families), len(block))
+        np.minimum.at(first, hit_families, hit_starts)
+        order = sorted(
+            np.flatnonzero(totals).tolist(),
+            key=lambda fid: (first[fid], self.families[fid]),
+        )
+        return [(self.families[fid], int(totals[fid])) for fid in order], human
+
+
+_MATCHER = _BlockMatcher(DEFAULT_SCANNER)
+
+
+def _classify_block(
+    texts: list[str],
+) -> tuple[list[tuple[str, int]], np.ndarray, np.ndarray]:
+    """Classify one block of paper texts.
+
+    Returns ``(family_counts, human_mentions, detected)``: the block's
+    per-family mention totals in the order per-paper classification
+    would first meet each family, each paper's human-family mention
+    count, and whether each paper carries a positionality statement.
+    An ASCII block goes through the block matcher; any other block
+    through per-paper :func:`classify_text`, because lowercasing and the
+    ASCII token table are only exact on ASCII text.
+    """
+    n = len(texts)
+    detected = np.zeros(n, dtype=bool)
+    block = _SEPARATOR.join(texts)
+    if not block.isascii():
+        family_counts: Counter = Counter()
+        human = np.zeros(n, dtype=np.int64)
+        for local, text in enumerate(texts):
+            for family, count in classify_text(text).items():
+                family_counts[family] += count
+                if family in HUMAN_METHOD_FAMILIES:
+                    human[local] += count
+            detected[local] = has_positionality_statement(text)
+        return list(family_counts.items()), human, detected
+
+    lowered = block.lower()
+    paper_starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(text) + 1 for text in texts], out=paper_starts[1:])
+    family_counts, human = _MATCHER.classify(block, lowered, paper_starts)
+
+    # A statement needs a marker first; only marked papers pay for the
+    # detector.  After a hit the marker search resumes at the next paper.
+    bounds = paper_starts.tolist()
+    marked = set()
+    for marker in STATEMENT_MARKERS:
+        at = lowered.find(marker)
+        while at != -1:
+            local = bisect.bisect_right(bounds, at) - 1
+            marked.add(local)
+            at = lowered.find(marker, bounds[local + 1])
+    for local in marked:
+        detected[local] = has_positionality_statement(texts[local])
+    return family_counts, human, detected
+
+
+def _fold_cells(
+    aggregates: CorpusAggregates,
+    shard: ColumnarShard,
+    venue_ids: list[str],
+    human: np.ndarray,
+    detected: np.ndarray,
+) -> None:
+    """Fold per-paper flags into the ``venue_year``/``positionality`` cells.
+
+    Cells and their counters are inserted in the order a paper-by-paper
+    loop would first touch them, so the aggregate (and its records)
+    match that loop key for key.
+    """
+    if not shard.n_papers:
+        return
+    years = shard.year.astype(np.int64)
+    first_year = int(years.min())
+    span = int(years.max()) - first_year + 1
+    keys = shard.venue_idx.astype(np.int64) * span + (years - first_year)
+    cells, first_paper, cell_of = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    cell_of = cell_of.ravel()
+    n_cells = len(cells)
+    truth = shard.positionality.astype(bool)
+    flags = {
+        "human": human,
+        "detected": detected,
+        "truth": truth,
+        "tp": detected & truth,
+        "fp": detected & ~truth,
+        "fn": ~detected & truth,
+    }
+    counts = {"papers": np.bincount(cell_of, minlength=n_cells)}
+    firsts = {}
+    for name, flag in flags.items():
+        counts[name] = np.bincount(cell_of[flag], minlength=n_cells)
+        first = np.full(n_cells, shard.n_papers)
+        np.minimum.at(first, cell_of[flag], np.flatnonzero(flag))
+        firsts[name] = first
+    for cell in np.argsort(first_paper, kind="stable").tolist():
+        venue, year = divmod(int(cells[cell]), span)
+        key = (venue_ids[venue], first_year + year)
+        bucket = aggregates.venue_year[key] = Counter()
+        bucket["papers"] = int(counts["papers"][cell])
+        if counts["human"][cell]:
+            bucket["human"] = int(counts["human"][cell])
+        pos = aggregates.positionality[key] = Counter()
+        for name in ("papers", "detected", "truth"):
+            pos[name] = int(counts[name][cell])
+        for name in sorted(("tp", "fp", "fn"), key=lambda name: firsts[name][cell]):
+            if counts[name][cell]:
+                pos[name] = int(counts[name][cell])
 
 
 def scan_shard(
@@ -237,56 +498,27 @@ def scan_shard(
 ) -> CorpusAggregates:
     """Scan one shard's text and layout columns into an aggregate.
 
-    Each paper's full text is assembled from the shard's string pools
-    **once** and handed to the method classifier (plus, for the few
-    marker-flagged papers, the positionality detector); everything the
-    layout columns can answer — venue/year/topic rollups, sector slot
-    mixes, per-author depth, citation counts — is folded with
-    vectorized ``bincount`` passes, so the per-paper Python loop stays
-    text-classification-bound.
+    The text is classified :data:`BLOCK_PAPERS` papers at a time by
+    :func:`_classify_block`; everything else — the venue/year and
+    positionality cells, topic rollups, sector slot mixes, per-author
+    depth, citation counts — is folded from the layout columns with
+    vectorized ``bincount`` passes.
     """
     aggregates = CorpusAggregates(n_papers=shard.n_papers)
     venue_ids = [venue.venue_id for venue in vocab.venues]
     for venue in vocab.venues:
         aggregates.venue_kinds[venue.venue_id] = venue.kind
-    venue_year = aggregates.venue_year
-    family_mentions = aggregates.family_mentions
-    positionality = aggregates.positionality
-    year_column = shard.year
-    venue_column = shard.venue_idx
-    truth_column = shard.positionality
     topics = vocab.topics
-    candidates = _positionality_candidates(shard)
-    for local in range(shard.n_papers):
-        text = shard.full_text(local)
-        counts = classify_text(text)
-        human_total = 0
-        for family, count in counts.items():
-            family_mentions[family] += count
-            if family in HUMAN_METHOD_FAMILIES:
-                human_total += count
-        key = (venue_ids[venue_column[local]], int(year_column[local]))
-        bucket = venue_year.get(key)
-        if bucket is None:
-            bucket = venue_year[key] = Counter()
-        bucket["papers"] += 1
-        if human_total >= min_mentions:
-            bucket["human"] += 1
-
-        detected = bool(candidates[local]) and has_positionality_statement(text)
-        actual = bool(truth_column[local])
-        pos = positionality.get(key)
-        if pos is None:
-            pos = positionality[key] = Counter()
-        pos["papers"] += 1
-        pos["detected"] += int(detected)
-        pos["truth"] += int(actual)
-        if detected and actual:
-            pos["tp"] += 1
-        elif detected:
-            pos["fp"] += 1
-        elif actual:
-            pos["fn"] += 1
+    human = np.zeros(shard.n_papers, dtype=np.int64)
+    detected = np.zeros(shard.n_papers, dtype=bool)
+    for lo in range(0, shard.n_papers, BLOCK_PAPERS):
+        hi = min(lo + BLOCK_PAPERS, shard.n_papers)
+        family_counts, human[lo:hi], detected[lo:hi] = _classify_block(
+            [shard.full_text(local) for local in range(lo, hi)]
+        )
+        for family, count in family_counts:
+            aggregates.family_mentions[family] += count
+    _fold_cells(aggregates, shard, venue_ids, human >= min_mentions, detected)
 
     n_topics = max(1, len(topics))
     n_venues = max(1, len(venue_ids))

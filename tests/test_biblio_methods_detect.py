@@ -1,7 +1,7 @@
 """Tests for repro.bibliometrics.methods_detect.
 
 The single-pass :class:`LexiconScanner` must be *exactly* equivalent to
-the per-family ``finditer`` reference (``detect_multipass``): same
+the per-family ``finditer`` reference (``tests.lexicon_oracle``): same
 mentions, same surfaces, same offsets — including on adversarial
 lexicons with cross-family shared prefixes, overlapping matches, stem
 collisions, and non-indexable phrases that force the fallback path.
@@ -18,6 +18,7 @@ from repro.bibliometrics.methods_detect import (
     detect_methods,
     uses_human_methods,
 )
+from tests.lexicon_oracle import detect_multipass
 
 
 def make_paper(abstract, body=""):
@@ -101,15 +102,15 @@ class TestSinglePassEquivalence:
     @pytest.mark.parametrize("lexicon,text", EQUIVALENCE_CASES)
     def test_adversarial_lexicons(self, lexicon, text):
         scanner = LexiconScanner(lexicon)
-        assert scanner.detect(text) == scanner.detect_multipass(text)
+        assert scanner.detect(text) == detect_multipass(scanner, text)
 
     @pytest.mark.parametrize("lexicon,text", EQUIVALENCE_CASES)
     def test_adversarial_lexicons_single_family_selections(self, lexicon, text):
         scanner = LexiconScanner(lexicon)
         for family in lexicon:
             selection = (family,)
-            assert scanner.detect(text, selection) == scanner.detect_multipass(
-                text, selection
+            assert scanner.detect(text, selection) == detect_multipass(
+                scanner, text, selection
             )
 
     def test_default_lexicon_on_representative_texts(self):
@@ -125,7 +126,7 @@ class TestSinglePassEquivalence:
         ]
         scanner = LexiconScanner(METHOD_FAMILIES)
         for text in texts:
-            assert scanner.detect(text) == scanner.detect_multipass(text)
+            assert scanner.detect(text) == detect_multipass(scanner, text)
 
     def test_default_lexicon_on_synthetic_papers(self):
         from tests.synthgen_oracle import SyntheticCorpusConfig, generate_corpus
@@ -137,12 +138,32 @@ class TestSinglePassEquivalence:
         assert len(list(corpus)) > 0
         for paper in corpus:
             text = paper.full_text
-            assert scanner.detect(text) == scanner.detect_multipass(text)
+            assert scanner.detect(text) == detect_multipass(scanner, text)
 
     def test_detect_methods_uses_the_default_scanner(self):
         text = "A focus group met; fieldwork followed."
         scanner = LexiconScanner(METHOD_FAMILIES)
-        assert detect_methods(text) == scanner.detect_multipass(text)
+        assert detect_methods(text) == detect_multipass(scanner, text)
+
+
+class TestFirstWordIndex:
+    def test_followers_only_where_every_phrase_continues(self):
+        scanner = LexiconScanner({
+            "a": ("we measure*", "We interviewed"),
+            "b": ("in-depth interview*", "in"),
+            "c": ("ethnograph*", "case study"),
+        })
+        index = scanner.first_word_index()
+        assert index.exact == {"we": ("a",), "in": ("b",), "case": ("c",)}
+        assert index.stems == {"ethnograph": ("c",)}
+        assert index.stem_lengths == (10,)
+        assert index.followers == {"we": ("interviewed", "measure"), "case": ("study",)}
+        assert scanner.first_word_index() is index
+
+    def test_phrase_off_token_start_is_not_indexable(self):
+        scanner = LexiconScanner({"u": ("-dash start",), "v": ("plain",)})
+        assert scanner.first_word_index() is None
+        assert scanner.first_word_index(("v",)).exact == {"plain": ("v",)}
 
 
 class TestClassify:

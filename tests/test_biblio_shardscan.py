@@ -1,13 +1,23 @@
 """Oracle tests: per-shard scan analytics vs the classic dataclass path."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bibliometrics.columnar import ColumnarCorpus, ColumnarShard, TextColumn
 from repro.bibliometrics.metrics import gini, h_index
-from repro.bibliometrics.methods_detect import classify_paper, uses_human_methods
+from repro.bibliometrics import shardscan
+from repro.bibliometrics.methods_detect import (
+    HUMAN_METHOD_FAMILIES,
+    METHOD_FAMILIES,
+    classify_paper,
+    classify_text,
+    uses_human_methods,
+)
 from repro.bibliometrics.shardgen import ShardedCorpusConfig, generate_columnar_corpus
 from repro.bibliometrics.shardscan import CorpusAggregates, scan_corpus, scan_shard
 from repro.core.positionality import has_positionality_statement
@@ -241,29 +251,74 @@ class TestMergeAlgebra:
         assert merged.citations
 
 
-def _empty_shard() -> ColumnarShard:
+def _text_shard(titles, abstracts, bodies, venue_idx=None, years=None, truth=None):
+    """A shard carrying exactly the given texts and no authors or refs."""
+    n = len(titles)
+    venue_idx = [0] * n if venue_idx is None else venue_idx
+    years = [2024] * n if years is None else years
+    truth = [0] * n if truth is None else truth
     int64 = np.zeros(0, dtype=np.int64)
     return ColumnarShard(
         index=0,
         paper_offset=0,
-        year=np.zeros(0, dtype=np.int32),
-        venue_idx=np.zeros(0, dtype=np.int16),
-        topic_idx=np.zeros(0, dtype=np.int16),
-        author_indptr=np.zeros(1, dtype=np.int64),
+        year=np.asarray(years, dtype=np.int32),
+        venue_idx=np.asarray(venue_idx, dtype=np.int16),
+        topic_idx=np.zeros(n, dtype=np.int16),
+        author_indptr=np.zeros(n + 1, dtype=np.int64),
         author_values=int64,
-        ref_indptr=np.zeros(1, dtype=np.int64),
+        ref_indptr=np.zeros(n + 1, dtype=np.int64),
         ref_values=int64,
-        human_mask=np.zeros(0, dtype=np.uint16),
-        positionality=np.zeros(0, dtype=np.uint8),
-        title=TextColumn.from_strings([]),
-        abstract=TextColumn.from_strings([]),
-        body=TextColumn.from_strings([]),
+        human_mask=np.zeros(n, dtype=np.uint16),
+        positionality=np.asarray(truth, dtype=np.uint8),
+        title=TextColumn.from_strings(titles),
+        abstract=TextColumn.from_strings(abstracts),
+        body=TextColumn.from_strings(bodies),
     )
+
+
+def per_paper_fold(shard, vocab, min_mentions=1) -> CorpusAggregates:
+    """The text fields of a scan, folded paper by paper from
+    ``classify_text`` and ``has_positionality_statement``."""
+    venue_ids = [venue.venue_id for venue in vocab.venues]
+    folded = CorpusAggregates(n_papers=shard.n_papers)
+    for local in range(shard.n_papers):
+        text = shard.full_text(local)
+        counts = classify_text(text)
+        folded.family_mentions.update(counts)
+        human = sum(c for f, c in counts.items() if f in HUMAN_METHOD_FAMILIES)
+        key = (venue_ids[shard.venue_idx[local]], int(shard.year[local]))
+        bucket = folded.venue_year.setdefault(key, Counter())
+        bucket["papers"] += 1
+        if human >= min_mentions:
+            bucket["human"] += 1
+        detected = has_positionality_statement(text)
+        actual = bool(shard.positionality[local])
+        cells = folded.positionality.setdefault(key, Counter())
+        cells["papers"] += 1
+        cells["detected"] += int(detected)
+        cells["truth"] += int(actual)
+        if detected and actual:
+            cells["tp"] += 1
+        elif detected:
+            cells["fp"] += 1
+        elif actual:
+            cells["fn"] += 1
+    return folded
+
+
+def text_fields(aggregates: CorpusAggregates) -> list:
+    """The text-derived fields with their iteration order."""
+    return [
+        aggregates.n_papers,
+        list(aggregates.family_mentions.items()),
+        [(key, list(cells.items())) for key, cells in aggregates.venue_year.items()],
+        [(key, list(cells.items())) for key, cells in aggregates.positionality.items()],
+    ]
 
 
 class TestDegenerateShards:
     def test_empty_shard_scans_to_neutral_element(self, corpus, aggregates):
-        scanned = scan_shard(_empty_shard(), corpus.vocab)
+        scanned = scan_shard(_text_shard([], [], []), corpus.vocab)
         assert scanned.n_papers == 0
         assert not scanned.venue_year
         assert not scanned.family_mentions
@@ -300,3 +355,140 @@ class TestStreamedScan:
             CONFIG, cache_dir=str(tmp_path), stream=True
         )
         assert scan_corpus(streamed) == aggregates
+
+
+#: A marker plus facets: what the positionality detector accepts.
+STATEMENT = "Positionality. We write as network engineers based in the Global South."
+
+#: Repeats and near misses the first-word index must not trip over.
+NEAR_MISSES = (
+    "we we we", "participatory participatory action research",
+    "community", "in", "our own", "case", "survey", "co", "ns", "we situate",
+    "ethnograph", "position", "situate themselves",
+)
+
+#: Characters whose case mapping or folding is not ASCII's.
+NON_ASCII = (
+    "\u0130", "\u212a", "\u017f", "\u0130nterviews", "\u212anowledge", "\u017furvey of",
+)
+
+
+@st.composite
+def phrase_forms(draw):
+    """One lexicon phrase in a surface form the matcher must handle."""
+    family = draw(st.sampled_from(sorted(METHOD_FAMILIES)))
+    words = draw(st.sampled_from(METHOD_FAMILIES[family])).split()
+    words = [
+        w[:-1] + draw(st.sampled_from(("", "s", "ic", "ies", "_x", "-y")))
+        if w.endswith("*") else w
+        for w in words
+    ]
+    gaps = [draw(st.sampled_from((" ", "  ", "\t", "\n", "\n\n", " \r\n ", "-")))
+            for _ in words[1:]]
+    text = words[0] + "".join(gap + word for gap, word in zip(gaps, words[1:]))
+    case = draw(st.sampled_from((str, str.upper, str.title, str.swapcase)))
+    return case(text)
+
+
+pieces = st.one_of(
+    phrase_forms(),
+    st.sampled_from(NEAR_MISSES),
+    st.sampled_from((STATEMENT, "we situate ourselves", "reflexivity statement")),
+    st.sampled_from(
+        ("the", "network", "latency", ".", ",", "(", ")", "\n\n", "x", "_", "9")
+    ),
+)
+
+#: Two-word phrases to split across two adjacent papers.
+TWO_WORD = sorted(
+    phrase.replace("*", "")
+    for phrases in METHOD_FAMILIES.values()
+    for phrase in phrases
+    if " " in phrase
+) + ["positionality statement", "we situate ourselves"]
+
+
+@st.composite
+def text_parts(draw, max_pieces):
+    """A title, abstract or body: pieces joined by varied separators."""
+    parts = draw(st.lists(pieces, max_size=max_pieces))
+    seps = [draw(st.sampled_from((" ", "", ". ", "\n", "\x1f"))) for _ in parts]
+    return "".join(part + sep for part, sep in zip(parts, seps)).strip(" ")
+
+
+@st.composite
+def papers(draw):
+    title = draw(text_parts(3))
+    abstract = draw(text_parts(6))
+    if draw(st.booleans()):
+        # A phrase split across the title/abstract join.
+        words = draw(phrase_forms()).split(" ", 1)
+        if len(words) == 2:
+            title, abstract = title + " " + words[0], words[1] + " " + abstract
+    body = draw(text_parts(8))
+    if draw(st.integers(0, 3)) == 0:
+        body = draw(st.sampled_from(NON_ASCII)) + " " + body
+    return title, abstract, body
+
+
+class TestBlockMatcherEquivalence:
+    """The block matcher must equal per-paper classification exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shard_papers=st.lists(papers(), min_size=1, max_size=12),
+        straddle=st.tuples(st.integers(0, 10), st.sampled_from(TWO_WORD)),
+        block=st.sampled_from((1, 2, 4, 512)),
+        min_mentions=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_generated_shards(
+        self, corpus, shard_papers, straddle, block, min_mentions, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = len(shard_papers)
+        titles, abstracts, bodies = (list(column) for column in zip(*shard_papers))
+        if n > 1:
+            # A phrase that would match only across two papers' edges.
+            local, phrase = straddle[0] % (n - 1), straddle[1]
+            head, tail = phrase.split(" ", 1)
+            bodies[local] = f"{bodies[local]} {head}".lstrip()
+            titles[local + 1] = f"{tail} {titles[local + 1]}".rstrip()
+        shard = _text_shard(
+            titles, abstracts, bodies,
+            venue_idx=rng.integers(0, 2, n), years=rng.integers(2020, 2022, n),
+            truth=rng.integers(0, 2, n),
+        )
+        with mock.patch.object(shardscan, "BLOCK_PAPERS", block):
+            scanned = scan_shard(shard, corpus.vocab, min_mentions)
+        assert text_fields(scanned) == text_fields(
+            per_paper_fold(shard, corpus.vocab, min_mentions)
+        )
+
+    def test_generated_corpus_shards(self, corpus):
+        for shard in corpus.iter_shards():
+            assert text_fields(scan_shard(shard, corpus.vocab)) == text_fields(
+                per_paper_fold(shard, corpus.vocab)
+            )
+
+    @pytest.mark.parametrize("titles", [
+        [STATEMENT, STATEMENT, "x " + STATEMENT],
+        ["we interviewed", "focus group", "ethnography", "case study"],
+        ["we", "interviewed participatory", "action research", ""],
+    ])
+    def test_sites_at_paper_edges(self, corpus, titles):
+        shard = _text_shard(titles, [""] * len(titles), [""] * len(titles))
+        assert text_fields(scan_shard(shard, corpus.vocab)) == text_fields(
+            per_paper_fold(shard, corpus.vocab)
+        )
+
+    def test_statement_after_non_ascii_text_is_found(self, corpus):
+        # "\u0130".lower() is two characters: offsets into a lowered blob
+        # drift, and a marker hit once landed in the next paper.
+        titles = ["\u0130" * 200, STATEMENT, "z" * 400]
+        shard = _text_shard(titles, [""] * 3, [""] * 3)
+        assert [has_positionality_statement(t) for t in titles] == [False, True, False]
+        scanned = scan_shard(shard, corpus.vocab)
+        oracle = per_paper_fold(shard, corpus.vocab)
+        assert scanned.positionality == oracle.positionality
+        assert sum(cells["detected"] for cells in scanned.positionality.values()) == 1

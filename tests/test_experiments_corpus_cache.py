@@ -75,15 +75,16 @@ def generations(monkeypatch):
 
 @pytest.fixture
 def classifications(monkeypatch):
-    """Count per-paper text classifications done by the scan."""
+    """Count papers whose text the scan classifies (one entry per paper
+    passed to the block matcher)."""
     calls = []
-    real = shardscan.classify_text
+    real = shardscan._classify_block
 
-    def counting(text):
-        calls.append(1)
-        return real(text)
+    def counting(texts):
+        calls.extend([1] * len(texts))
+        return real(texts)
 
-    monkeypatch.setattr(shardscan, "classify_text", counting)
+    monkeypatch.setattr(shardscan, "_classify_block", counting)
     return calls
 
 
