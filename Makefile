@@ -22,10 +22,12 @@ check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro experiments E1 E13 --seed 0 --retries 1 --workers 2 --json-summary -
 
 # The crash-safety net end to end: the chaos test suite (worker kills,
-# poison-task quarantine, heartbeat escalation, disk faults), then a
-# supervised parallel CLI run with the supervision flags exercised.
+# poison-task quarantine, heartbeat escalation, disk faults), shard
+# generation under the same supervisor, then a supervised parallel CLI
+# run with the supervision flags exercised.
 chaos-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest tests/test_runtime_chaos.py -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest tests/test_runtime_chaos.py \
+		"tests/test_biblio_shardgen.py::TestWorkerInvariance" -q
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro experiments E4 E5 E6 E10 --seed 0 \
 		--workers 2 --keep-going --max-worker-crashes 2 --json-summary -
 

@@ -31,21 +31,21 @@ count:
   returns only metadata; the parent never holds more than one decoded
   shard (``stream=True``), so a 10⁶–10⁷-paper corpus never fully
   materializes in RAM.
-- **Crash-safe.**  Generation is idempotent and content-addressed, so
-  the parent reacts to a killed worker (the supervisor discipline of
-  PR 4, site ``shardgen:shard``) by rebuilding the pool and requeuing
-  unfinished shards, degrading to in-process generation after
-  ``max_pool_rebuilds`` — the fingerprint is unchanged either way.
+- **Crash-safe.**  Shards run under the same
+  :class:`~repro.runtime.supervisor.WorkerSupervisor` as suite
+  experiments (fault site ``shardgen:shard``): a killed worker rebuilds
+  the pool and requeues unfinished shards, and a quarantined shard or
+  a degraded remainder is generated in-process.  Generation is
+  idempotent and content-addressed, so the fingerprint is unchanged
+  either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
-from multiprocessing import get_context
 from typing import Callable, Iterable
 
 import numpy as np
@@ -724,27 +724,17 @@ def _produce_shard(
 
 
 def _shard_task(task: dict) -> dict:
-    """Pool-worker entry point: produce one shard, return its result.
+    """Supervisor entry point: produce one shard, return its result.
 
-    Consults the ``shardgen:shard`` fault site first (under the task's
-    exported injector specs), crediting prior worker crashes against
-    ``kill`` budgets exactly as the experiment workers do — a
-    "crash once, then succeed" schedule behaves identically across
-    requeues.
+    Consults the ``shardgen:shard`` fault site first, under the task's
+    injector installed process-wide (so ``artifacts:*``/``io:*`` sites
+    see it too) — in a pool worker and in-process alike.  Prior worker
+    crashes are credited against ``kill`` budgets, so a "crash once,
+    then succeed" schedule behaves identically across requeues.
     """
     from repro.runtime.faultinject import FaultInjector, use_fault_injector
 
-    injector = None
-    if task.get("fault") is not None:
-        injector = FaultInjector.from_specs(
-            task["fault"]["specs"], seed=task["fault"]["seed"]
-        )
-        crashes = task.get("worker_crashes", 0)
-        if crashes:
-            for spec in injector._specs.values():
-                if spec.mode == "kill":
-                    spec.fired += crashes
-                    spec.calls += crashes
+    injector = FaultInjector.from_task(task["fault"], task["worker_crashes"])
     with use_fault_injector(injector):
         if injector is not None:
             injector.check(FAULT_SITE)
@@ -766,7 +756,6 @@ def generate_columnar_corpus(
     cache_dir: str | None = None,
     stream: bool = False,
     fault_injector=None,
-    max_pool_rebuilds: int = 3,
     on_shard: Callable[[dict], None] | None = None,
 ) -> ColumnarCorpus:
     """Generate (or reload) a sharded columnar corpus.
@@ -775,18 +764,18 @@ def generate_columnar_corpus(
         config: Generator parameters (default: the default config).
         profiles: Venue panel (default: the 12-venue default panel).
         workers: Process-pool width for shard generation; **never**
-            changes the corpus content or fingerprint.
+            changes the corpus content or fingerprint.  Shards run
+            under :class:`~repro.runtime.supervisor.WorkerSupervisor`
+            (in-process at 1 worker or for a one-shard corpus).
         cache_dir: Artifact-cache directory shards stream through.  A
             warm cache replays shards without regeneration (and with an
             identical fingerprint).  Required for ``stream=True``.
         stream: Keep at most one decoded shard resident in the
             returned corpus; shards reload from the cache on demand.
         fault_injector: Optional
-            :class:`~repro.runtime.faultinject.FaultInjector` whose
-            exported specs travel to workers (site ``shardgen:shard``).
-        max_pool_rebuilds: Worker-crash budget; past it, remaining
-            shards are generated in-process (degraded but complete —
-            and fingerprint-identical, generation being deterministic).
+            :class:`~repro.runtime.faultinject.FaultInjector` that every
+            shard task consults (site ``shardgen:shard``) at any worker
+            count.  An ordinary exception it injects propagates.
         on_shard: Optional callback invoked with each shard's metadata
             as it completes (progress reporting).
 
@@ -794,6 +783,9 @@ def generate_columnar_corpus(
         A :class:`ColumnarCorpus` whose fingerprint depends only on
         ``(config, profiles)``.
     """
+    from repro.errors import WorkerCrashError
+    from repro.runtime.supervisor import WorkerSupervisor
+
     config = config or ShardedCorpusConfig()
     profiles = profiles if profiles is not None else default_venue_profiles()
     if stream and cache_dir is None:
@@ -803,86 +795,41 @@ def generate_columnar_corpus(
     keep_shards = not stream
     metas: dict[int, dict] = {}
     shards: dict[int, ColumnarShard] = {}
-
-    def finish(result: dict) -> None:
-        index = result["shard"]
-        payload = result.pop("payload", None)
-        if payload is not None and keep_shards:
-            shards[index] = payload
-        metas[index] = result
-        if on_shard is not None:
-            on_shard(result)
-
-    pending = set(range(plan.n_shards))
-    if workers > 1 and len(pending) > 1:
-        from repro.runtime.parallel import worker_init
-
-        fault = None
-        if fault_injector is not None:
-            fault = {
-                "seed": fault_injector.seed,
-                "specs": fault_injector.export_specs(),
-            }
-        crashes = 0
-        while pending and crashes <= max_pool_rebuilds:
-            mp_context = get_context("fork")
-            pool = ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                mp_context=mp_context,
-                initializer=worker_init,
-            )
-            futures = {
-                pool.submit(_shard_task, {
-                    "config": config,
-                    "profiles": profiles,
-                    "shard": index,
-                    "cache_dir": cache_dir,
-                    # In streaming (or cached) mode workers return only
-                    # metadata; the parent reloads from the cache.
-                    "keep_shard": keep_shards and cache_dir is None,
-                    "fault": fault,
-                    "worker_crashes": crashes,
-                }): index
-                for index in sorted(pending)
-            }
-            broken = False
-            try:
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        index = futures[future]
-                        finish(future.result())
-                        pending.discard(index)
-            except BrokenProcessPool:
-                # A worker died (OOM kill, segfault, injected kill):
-                # every unfinished shard is requeued on a fresh pool.
-                # Generation is idempotent and cache writes are atomic,
-                # so a half-done crash leaves nothing to repair beyond
-                # stranded temp files.
-                broken = True
-                crashes += 1
-                if cache_dir is not None:
-                    from repro.io.artifacts import ArtifactCache
-
-                    ArtifactCache(
-                        cache_dir, version=SHARD_SCHEMA_VERSION, sweep=False
-                    ).sweep_orphans(max_age_seconds=0.0)
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-            if not broken:
-                break
-    # Sequential path: workers == 1, a single shard, or the degraded
-    # remainder after exhausting the pool-rebuild budget.  Worker-only
-    # fault modes (kill) pass through in-process, so degradation always
-    # completes — with the same bytes.
-    for index in sorted(pending):
-        shard, meta = _produce_shard(
-            config, profiles, index, cache_dir, keep_shard=keep_shards
-        )
-        if shard is not None and keep_shards:
-            shards[index] = shard
-        finish(dict(meta))
+    width = min(workers, plan.n_shards)
+    fault = fault_injector.to_task() if fault_injector is not None else None
+    tasks = {
+        index: {
+            "config": config,
+            "profiles": profiles,
+            "shard": index,
+            "cache_dir": cache_dir,
+            # Pool workers with a cache return only metadata; the
+            # parent reloads from the cache on demand.
+            "keep_shard": keep_shards and (cache_dir is None or width == 1),
+            "fault": fault,
+            "worker_crashes": 0,
+        }
+        for index in range(plan.n_shards)
+    }
+    supervisor = WorkerSupervisor(workers=width, cache_dir=cache_dir)
+    outcomes = supervisor.run(
+        _shard_task, [(i, task, {"shard": i}) for i, task in tasks.items()]
+    )
+    with contextlib.closing(outcomes):
+        for index, result, error in outcomes:
+            if isinstance(error, WorkerCrashError):
+                # A quarantined shard: generate it here, where kill
+                # faults do not fire, so the corpus always completes
+                # with the same bytes.
+                result = _shard_task(tasks[index])
+            elif error is not None:
+                raise error
+            payload = result.pop("payload", None)
+            if payload is not None and keep_shards:
+                shards[index] = payload
+            metas[index] = result
+            if on_shard is not None:
+                on_shard(result)
 
     sizes = plan.shard_sizes()
     fingerprints = [metas[i]["sha"] for i in range(plan.n_shards)]

@@ -8,13 +8,13 @@
   hang, corrupt their return value, or inject process/disk faults
   (``kill``/``oom``/``enospc``) — used to test the runner and
   available for netsim resilience studies.
-- :mod:`repro.runtime.parallel` -- the process-pool worker behind
+- :mod:`repro.runtime.parallel` -- the experiment task behind
   ``SuiteRunner(workers=N)``: runs one experiment per task and streams
   back its record plus an observability shard.
-- :mod:`repro.runtime.supervisor` -- :class:`WorkerSupervisor`:
-  process-level supervision for the pool — crash detection, requeue
-  under a per-task crash budget, poison-task quarantine, and a
-  degradation ladder down to in-process execution.
+- :mod:`repro.runtime.supervisor` -- :class:`WorkerSupervisor`: the
+  one process-pool supervisor (suite experiments and corpus shards) —
+  crash detection, requeue under a per-task crash budget, poison-task
+  quarantine, and a degradation ladder down to in-process execution.
 """
 
 from repro.runtime.faultinject import (

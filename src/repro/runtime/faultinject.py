@@ -423,6 +423,36 @@ class FaultInjector:
             spec.calls = data.get("calls", 0)
         return injector
 
+    def to_task(self) -> dict:
+        """This injector as a picklable task field (see :meth:`from_task`).
+
+        ``{"seed", "specs"}`` with the :meth:`export_specs` form: what a
+        pool task carries so its worker can rebuild the injector.
+        """
+        return {"seed": self.seed, "specs": self.export_specs()}
+
+    @classmethod
+    def from_task(
+        cls, fault: dict | None, worker_crashes: int = 0
+    ) -> "FaultInjector | None":
+        """Rebuild a task's injector from :meth:`to_task` output.
+
+        ``None`` (a task without an injector) gives None.  A ``kill``
+        fault that fired is precisely what crashed the task's previous
+        ``worker_crashes`` worker(s), so those firings are credited
+        against every ``kill`` budget — a "crash twice, then succeed"
+        schedule then behaves across requeues exactly like "raise
+        twice" does across in-process retries.
+        """
+        if fault is None:
+            return None
+        injector = cls.from_specs(fault["specs"], seed=fault["seed"])
+        for spec in injector._specs.values():
+            if spec.mode == "kill":
+                spec.fired += worker_crashes
+                spec.calls += worker_crashes
+        return injector
+
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-point ``{"calls": n, "fired": m}`` counters."""
         return {

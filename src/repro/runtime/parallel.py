@@ -1,7 +1,9 @@
 """Worker-process side of parallel suite execution.
 
 :meth:`repro.runtime.runner.SuiteRunner.run_all` with ``workers > 1``
-dispatches one task per experiment to a process pool.  This module is
+builds one task per experiment (:func:`make_task`) and hands them, with
+:func:`run_experiment_task` as the entry point, to the generic
+:class:`repro.runtime.supervisor.WorkerSupervisor`.  This module is
 what runs inside the pool: a picklable task description goes in, and an
 *observation shard* comes out — the experiment's checkpoint-shaped
 record, its live :class:`~repro.experiments.registry.ExperimentResult`,
@@ -10,12 +12,14 @@ snapshot.  The parent merges the shards deterministically (metrics via
 the associative :meth:`~repro.obs.metrics.MetricsRegistry.merge`, spans
 via :meth:`~repro.obs.tracing.Tracer.adopt`) in suite order, so the
 combined observability output does not depend on completion order.
+A task that raised or was quarantined instead of returning a shard
+becomes one through :func:`failure_payload`.
 
 Workers always run with ``keep_going=True`` and no checkpoint: failure
 handling and checkpoint appends are the parent's job (single writer).
 Injectable clocks and sleeps do not cross the process boundary — a
 worker uses real time — and a :class:`FaultInjector` travels as its
-:meth:`~repro.runtime.faultinject.FaultInjector.export_specs` form, so
+:meth:`~repro.runtime.faultinject.FaultInjector.to_task` form, so
 custom exception/corrupt callables are replaced by the defaults.
 """
 
@@ -25,25 +29,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.runner import RunRecord, SuiteRunner
-
-
-def worker_init() -> None:
-    """Pool-worker initializer (runs once per worker process).
-
-    Marks the process as a worker — arming worker-only fault modes
-    like ``kill`` — and enables :mod:`faulthandler`, so a worker that
-    genuinely hangs or dies on a fatal signal dumps the tracebacks of
-    every thread to stderr instead of vanishing silently.
-    """
-    import faulthandler
-
-    from repro.runtime.faultinject import mark_worker_process
-
-    mark_worker_process()
-    try:
-        faulthandler.enable()
-    except (ValueError, RuntimeError):  # pragma: no cover - odd stderr
-        pass
 
 
 def make_task(runner: "SuiteRunner", point, cache_dir: str | None) -> dict:
@@ -56,12 +41,7 @@ def make_task(runner: "SuiteRunner", point, cache_dir: str | None) -> dict:
     pool rebuilds; legacy/synthetic points carry only ``(seed, fast)``.
     """
     policy = runner.policy
-    fault = None
-    if runner.fault_injector is not None:
-        fault = {
-            "seed": runner.fault_injector.seed,
-            "specs": runner.fault_injector.export_specs(),
-        }
+    injector = runner.fault_injector
     return {
         "experiment_id": point.experiment_id,
         "seed": point.seed,
@@ -79,7 +59,7 @@ def make_task(runner: "SuiteRunner", point, cache_dir: str | None) -> dict:
             "max_backoff": policy.max_backoff,
             "jitter": policy.jitter,
         },
-        "fault": fault,
+        "fault": injector.to_task() if injector is not None else None,
         "cache_dir": cache_dir,
         # Bumped by the supervisor on requeue: how many workers this
         # task has already crashed.
@@ -107,22 +87,9 @@ def run_experiment_task(task: dict) -> dict:
 
     if task["cache_dir"] is not None:
         configure_corpus_cache(task["cache_dir"])
-    fault_injector = None
-    if task["fault"] is not None:
-        fault_injector = FaultInjector.from_specs(
-            task["fault"]["specs"], seed=task["fault"]["seed"]
-        )
-        # A kill fault that fired is precisely what crashed the previous
-        # worker(s) for this task, so credit those firings against the
-        # point's budget — a "crash twice, then succeed" schedule then
-        # behaves across requeues exactly like "raise twice" does across
-        # in-process retries.
-        crashes = task.get("worker_crashes", 0)
-        if crashes:
-            for spec in fault_injector._specs.values():
-                if spec.mode == "kill":
-                    spec.fired += crashes
-                    spec.calls += crashes
+    fault_injector = FaultInjector.from_task(
+        task["fault"], task["worker_crashes"]
+    )
     runner = SuiteRunner(
         policy=RetryPolicy(**task["policy"]),
         timeout=task["timeout"],
@@ -164,19 +131,18 @@ def record_from_payload(payload: dict) -> "RunRecord":
     return record
 
 
-def failure_payload(exc: BaseException, experiment_id: str, seed: int,
-                    fast: bool, config_hash: str | None = None,
-                    spec: dict | None = None) -> dict:
-    """A shard for a worker that died instead of returning one.
+def failure_payload(exc: BaseException, task: dict) -> dict:
+    """A shard for a task that raised or died instead of returning one.
 
-    A hard crash (e.g. ``BrokenProcessPool`` after a segfault or OOM
-    kill) never produces a record, so the parent synthesizes an error
-    record to keep the suite's isolation guarantee.  When ``exc`` is a
-    :class:`repro.errors.WorkerCrashError` the record keeps the
-    process-level evidence — exit signal/code, crash count, quarantine
-    verdict — in its ``crash`` field instead of flattening everything
-    to a generic message, so ``repro obs report`` (and anyone reading
-    the checkpoint) can break down crash causes.
+    A hard crash (e.g. a worker killed by a segfault or OOM) never
+    produces a record, so the parent synthesizes an error record for
+    ``task`` to keep the suite's isolation guarantee.  When ``exc`` is
+    a :class:`repro.errors.WorkerCrashError` (the supervisor's
+    quarantine verdict) the record keeps the process-level evidence —
+    exit signal/code, crash count, quarantine verdict — in its
+    ``crash`` field instead of flattening everything to a generic
+    message, so ``repro obs report`` (and anyone reading the
+    checkpoint) can break down crash causes.
     """
     from repro.errors import WorkerCrashError
 
@@ -188,18 +154,18 @@ def failure_payload(exc: BaseException, experiment_id: str, seed: int,
         error = f"worker process failed: {exc}"
     return {
         "record": {
-            "experiment_id": experiment_id,
+            "experiment_id": task["experiment_id"],
             "status": "error",
-            "seed": seed,
-            "fast": fast,
+            "seed": task["seed"],
+            "fast": task["fast"],
             "attempts": 0,
             "duration": 0.0,
             "checks": {},
             "error": error,
             "error_type": type(exc).__name__,
             "crash": crash,
-            "config_hash": config_hash,
-            "spec": spec,
+            "config_hash": task["config_hash"],
+            "spec": task["spec"],
         },
         "result": None,
         "spans": [],

@@ -830,11 +830,14 @@ class SuiteRunner:
         budget, and repeated breakage degrades to in-process execution
         — so a ``keep_going`` run always flushes a complete report.
         """
-        import multiprocessing
-
         from repro.errors import ExperimentError as SuiteExperimentError
         from repro.errors import WorkerCrashError
-        from repro.runtime.parallel import make_task, record_from_payload
+        from repro.runtime.parallel import (
+            failure_payload,
+            make_task,
+            record_from_payload,
+            run_experiment_task,
+        )
         from repro.runtime.supervisor import WorkerSupervisor
 
         report = SuiteReport()
@@ -848,10 +851,6 @@ class SuiteRunner:
                 pending.append(index)
         suite_span_id = getattr(suite_span, "span_id", None)
         payloads: dict[int, dict] = {}
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platforms
-            context = multiprocessing.get_context()
         flushed = 0
 
         def flush_ready() -> None:
@@ -899,34 +898,27 @@ class SuiteRunner:
                     return
                 flushed += 1
 
-        on_crash = None
-        if cache_dir is not None:
-            from repro.io.artifacts import ArtifactCache
-
-            cache = ArtifactCache(cache_dir, sweep=False)
-
-            def on_crash() -> None:
-                # Every pool writer is dead once a crash is detected,
-                # so temp files under the cache are orphans regardless
-                # of age.
-                cache.sweep_orphans(max_age_seconds=0.0)
-
         supervisor = WorkerSupervisor(
-            workers=min(workers, max(len(pending), 1)),
-            mp_context=context,
+            workers=workers,
             max_worker_crashes=self.max_worker_crashes,
             max_pool_rebuilds=self.max_pool_rebuilds,
             degrade=self.degrade,
             heartbeat_timeout=self.heartbeat_timeout,
+            cache_dir=cache_dir,
             tracer=self.tracer,
             metrics=self.metrics,
-            on_crash=on_crash,
         )
-        tasks = [
-            (index, make_task(self, points[index], cache_dir))
+        tasks = {
+            index: make_task(self, points[index], cache_dir)
             for index in pending
-        ]
-        for index, payload in supervisor.run(tasks):
+        }
+        outcomes = supervisor.run(run_experiment_task, [
+            (index, task, {"experiment_id": task["experiment_id"]})
+            for index, task in tasks.items()
+        ])
+        for index, payload, error in outcomes:
+            if error is not None:
+                payload = failure_payload(error, tasks[index])
             payloads[index] = payload
             flush_ready()
         flush_ready()

@@ -1,13 +1,12 @@
-"""Process-level supervision for the parallel suite runtime.
+"""Process-level supervision for process-pool work.
 
-:class:`repro.runtime.runner.SuiteRunner` keeps *in-worker* failures —
-exceptions, deadline overruns — from taking a suite down, but a worker
-that dies outright (OOM killer, a segfault in a C extension, an
-injected ``kill`` fault) never gets to run that machinery: the process
-pool breaks, every in-flight future raises ``BrokenProcessPool``, and
-before this module existed that single event aborted the whole run.
-
-:class:`WorkerSupervisor` sits between the runner and the pool and
+Two kinds of work fan out over a process pool: suite experiments
+(:class:`repro.runtime.runner.SuiteRunner` with ``workers > 1``) and
+corpus shards (:func:`repro.bibliometrics.shardgen.generate_columnar_corpus`).
+An ordinary exception in a worker comes back through its future, but a
+worker that dies outright (OOM killer, a segfault in a C extension, an
+injected ``kill`` fault) breaks the pool: every in-flight future raises
+``BrokenProcessPool``.  :class:`WorkerSupervisor` is the one place that
 turns worker death into a survivable, *recorded* event:
 
 - **Detection.**  A broken pool, a worker with a nonzero exit code, or
@@ -18,35 +17,42 @@ turns worker death into a survivable, *recorded* event:
 - **Requeue under a crash budget.**  In-flight tasks are requeued onto
   a rebuilt pool.  Tasks that have crashed a worker before are run one
   at a time, so subsequent blame is precise; a task that kills
-  ``max_worker_crashes`` consecutive workers is *quarantined* — it gets
-  a structured :class:`repro.errors.WorkerCrashError` record instead of
-  being retried forever, and the rest of the suite proceeds.  The
+  ``max_worker_crashes`` consecutive workers is *quarantined* — it
+  comes back as a :class:`repro.errors.WorkerCrashError` instead of
+  being retried forever, and the other tasks proceed.  The
   budget-exhausting crash must be *solo-proven* (exactly one task in
   flight), so an innocent task that merely shared a pool with a poison
   one is never quarantined for it.
 - **Degradation ladder.**  When the pool itself keeps breaking
   (``max_pool_rebuilds`` crash events), the supervisor stops trusting
   process isolation and finishes the remaining tasks sequentially
-  in-process, so a ``keep_going`` run always ends with a complete
-  :class:`~repro.runtime.runner.SuiteReport`.
+  in-process.
+- **Disk hygiene.**  With a ``cache_dir``, every crash event is
+  followed by a zero-grace orphan sweep of that artifact cache: every
+  pool writer is dead by then, so any temp file is a stranded one.
 
 Everything is observable: crash events, rebuilds, quarantines, and
 degradation are counted (``runner.worker_crashes``,
 ``runner.pool_rebuilds``, ``runner.quarantined``, ``runner.degraded``)
 and emitted as ``worker_crash`` / ``pool_rebuild`` / ``quarantine`` /
-``degrade`` spans carrying the exit evidence, which is what
-``repro obs report`` renders as the crash-cause breakdown.
+``degrade`` spans carrying the exit evidence plus each task's tags,
+which is what ``repro obs report`` renders as the crash-cause
+breakdown.
 
-The supervisor changes nothing about *what* runs: tasks are the same
-picklable dicts :func:`repro.runtime.parallel.make_task` builds, and
-completions stream back to the runner, which still flushes them in
-suite order.  That is why the determinism invariant — same report
-fingerprint at 1 and N workers — holds even while workers are being
-killed mid-run.
+The supervisor knows nothing about *what* runs: a task is a picklable
+dict handed to the worker entry point ``fn``, and each task's outcome
+streams back as its result or the exception it raised.  The one key
+the supervisor writes is ``task["worker_crashes"]`` — how many workers
+the task has crashed so far — which a worker hands to
+:meth:`repro.runtime.faultinject.FaultInjector.from_task` so ``kill``
+budgets survive requeues.  With ``workers=1`` the same ``fn`` runs
+in-process, in task order.
 """
 
 from __future__ import annotations
 
+import faulthandler
+import multiprocessing
 import signal as signal_module
 import time
 from concurrent.futures import (
@@ -58,16 +64,46 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import WorkerCrashError
-from repro.runtime.parallel import (
-    failure_payload,
-    run_experiment_task,
-    worker_init,
-)
+from repro.obs.metrics import current_metrics
+from repro.obs.tracing import current_tracer
+from repro.runtime.faultinject import mark_worker_process
 
-__all__ = ["WorkerSupervisor"]
+__all__ = ["POLL_INTERVAL", "WorkerSupervisor"]
+
+#: How often (seconds) the future-wait loop wakes to check worker
+#: liveness and harvest exit codes.
+POLL_INTERVAL = 0.25
+
+#: One task outcome: ``(index, result, error)`` — ``error`` is None on
+#: success, else the exception the task raised (a quarantine verdict is
+#: a :class:`~repro.errors.WorkerCrashError`) and ``result`` is None.
+Outcome = tuple[int, object, "BaseException | None"]
+
+
+def _worker_init() -> None:
+    """Pool-worker initializer (runs once per worker process).
+
+    Marks the process as a worker — arming worker-only fault modes
+    like ``kill`` — and enables :mod:`faulthandler`, so a worker that
+    genuinely hangs or dies on a fatal signal dumps the tracebacks of
+    every thread to stderr instead of vanishing silently.
+    """
+    mark_worker_process()
+    try:
+        faulthandler.enable()
+    except (ValueError, RuntimeError):  # pragma: no cover - odd stderr
+        pass
+
+
+def _pool_context():
+    """The fork context where the platform has one, else the default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
 
 
 def _signal_name(exit_code: int | None) -> str | None:
@@ -86,11 +122,14 @@ class _TaskState:
 
     index: int
     task: dict
-    experiment_id: str
+    tags: dict
     crashes: int = 0
     exit_code: int | None = None
     exit_signal: str | None = None
     reason: str | None = None
+
+    def label(self) -> str:
+        return " ".join(f"{k}={v}" for k, v in self.tags.items()) or "task"
 
 
 class WorkerSupervisor:
@@ -98,9 +137,8 @@ class WorkerSupervisor:
 
     Args:
         workers: Pool size ceiling (actual pools are also capped by the
-            number of tasks in the current batch).
-        mp_context: ``multiprocessing`` context for the pool (the
-            runner passes its fork context).
+            number of tasks in the current batch).  1 runs every task
+            in-process, with no pool.
         max_worker_crashes: Crash budget per task: a task that kills
             this many consecutive workers is quarantined as a poison
             task instead of requeued again.  The final crash must have
@@ -116,31 +154,27 @@ class WorkerSupervisor:
         heartbeat_timeout: Optional liveness bound in seconds: when no
             task completes for this long, the workers are presumed
             wedged, killed, and the in-flight tasks treated as a crash
-            event.  None (default) disables the heartbeat — in-worker
-            deadlines already bound runtimes for ordinary hangs.
-        poll_interval: How often the future-wait loop wakes to check
-            worker liveness.
-        tracer: Span sink for crash/rebuild/quarantine/degrade events.
-        metrics: Counter sink for the ``runner.*`` supervision metrics.
-        on_crash: Callback invoked once per crash event after the
-            broken pool is torn down (the runner hooks the artifact
-            cache's orphan sweep here — every pool writer is dead at
-            that point, so a zero-grace sweep is safe).
+            event.  None (default) disables the heartbeat.
+        cache_dir: Artifact-cache directory the tasks write through;
+            swept of orphaned temp files (zero grace) after every crash
+            event.
+        tracer: Span sink for crash/rebuild/quarantine/degrade events
+            (default: the process-wide tracer).
+        metrics: Counter sink for the ``runner.*`` supervision metrics
+            (default: the process-wide registry).
     """
 
     def __init__(
         self,
         *,
         workers: int,
-        mp_context=None,
         max_worker_crashes: int = 2,
         max_pool_rebuilds: int = 3,
         degrade: bool = True,
         heartbeat_timeout: float | None = None,
-        poll_interval: float = 0.25,
+        cache_dir: str | None = None,
         tracer=None,
         metrics=None,
-        on_crash: Callable[[], None] | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -153,11 +187,9 @@ class WorkerSupervisor:
         self.max_pool_rebuilds = max_pool_rebuilds
         self.degrade = degrade
         self.heartbeat_timeout = heartbeat_timeout
-        self.poll_interval = poll_interval
-        self._mp_context = mp_context
-        self._tracer = tracer
-        self._metrics = metrics
-        self._on_crash = on_crash
+        self.cache_dir = cache_dir
+        self._tracer = tracer if tracer is not None else current_tracer()
+        self._metrics = metrics if metrics is not None else current_metrics()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_rebuilds = 0
         self._degraded = False
@@ -170,35 +202,45 @@ class WorkerSupervisor:
 
     # -- public API ----------------------------------------------------
 
-    def run(self, tasks: list[tuple[int, dict]]) -> Iterator[tuple[int, dict]]:
-        """Run every task; yields ``(index, shard payload)`` as they finish.
+    def run(
+        self,
+        fn: Callable[[dict], object],
+        tasks: Iterable[tuple[int, dict, dict]],
+    ) -> Iterator[Outcome]:
+        """Run ``fn(task)`` for every task; yields outcomes as they finish.
 
-        Every task yields exactly once — with its worker's real shard,
-        a synthesized failure shard for an ordinary worker exception,
-        or a quarantine shard carrying the
-        :class:`~repro.errors.WorkerCrashError` evidence.  Completion
-        order is arbitrary (the runner re-orders at flush time).
+        ``tasks`` are ``(index, task, tags)`` triples: ``task`` is the
+        picklable dict ``fn`` receives, and ``tags`` are span
+        attributes naming it (``{"experiment_id": "E5"}``).  Every task
+        yields exactly one ``(index, result, error)`` outcome — its
+        return value, the exception it raised, or a quarantine
+        :class:`~repro.errors.WorkerCrashError` carrying the crash
+        evidence.  Completion order is arbitrary under a pool; with
+        ``workers=1`` tasks run in-process in the order given.
         """
         queue = [
-            _TaskState(index=index, task=task,
-                       experiment_id=task["experiment_id"])
-            for index, task in tasks
+            _TaskState(index=index, task=task, tags=tags)
+            for index, task, tags in tasks
         ]
+        if self.workers == 1:
+            yield from self._run_in_process(fn, queue)
+            return
         try:
             while queue:
                 if self._degraded:
-                    yield from self._run_degraded(queue)
+                    queue.sort(key=lambda state: state.index)
+                    yield from self._run_in_process(fn, queue)
                     return
                 batch = self._select_batch(queue)
-                finished, crashed, reason = self._run_batch(batch)
-                for state, payload in finished:
+                finished, crashed, reason = self._run_batch(fn, batch)
+                for state, result, error in finished:
                     queue.remove(state)
-                    yield state.index, payload
+                    yield state.index, result, error
                 if crashed:
-                    for state, payload in self._handle_crash(crashed, reason):
-                        if payload is not None:  # quarantined
+                    for state, error in self._handle_crash(crashed, reason):
+                        if error is not None:  # quarantined
                             queue.remove(state)
-                            yield state.index, payload
+                            yield state.index, None, error
         finally:
             self._shutdown_pool(wait_for_workers=False)
 
@@ -219,15 +261,15 @@ class WorkerSupervisor:
         return [queue[0]]
 
     def _run_batch(
-        self, batch: list[_TaskState]
-    ) -> tuple[list[tuple[_TaskState, dict]], list[_TaskState], str]:
+        self, fn: Callable[[dict], object], batch: list[_TaskState]
+    ) -> tuple[list[tuple[_TaskState, object, BaseException | None]],
+               list[_TaskState], str]:
         """Dispatch one batch; returns (finished, crash-blamed, reason)."""
-        finished: list[tuple[_TaskState, dict]] = []
+        finished: list[tuple[_TaskState, object, BaseException | None]] = []
         try:
             executor = self._ensure_pool(len(batch))
             futures = {
-                executor.submit(run_experiment_task, state.task): state
-                for state in batch
+                executor.submit(fn, state.task): state for state in batch
             }
         except BrokenExecutor:
             # The pool broke at submit time (a worker died between
@@ -243,31 +285,24 @@ class WorkerSupervisor:
         while pending:
             self._observe_exit_codes()
             done, pending = wait(
-                pending, timeout=self.poll_interval,
-                return_when=FIRST_COMPLETED,
+                pending, timeout=POLL_INTERVAL, return_when=FIRST_COMPLETED,
             )
             if done:
                 last_progress = time.monotonic()
             for future in done:
                 state = futures[future]
                 try:
-                    payload = future.result()
+                    result = future.result()
                 except BrokenExecutor:
                     pool_broken = True
                 except Exception as exc:  # noqa: BLE001 - worker raised
-                    # The worker survived but the task round-trip failed
-                    # (unpicklable result, protocol bug): an ordinary
-                    # failure record, not a crash.
-                    self._count("runner.worker_failures")
-                    finished.append((state, failure_payload(
-                        exc, state.experiment_id,
-                        state.task["seed"], state.task["fast"],
-                        config_hash=state.task.get("config_hash"),
-                        spec=state.task.get("spec"),
-                    )))
+                    # The worker survived; the task itself (or its
+                    # round-trip) failed: an ordinary error, not a crash.
+                    self._metrics.count("runner.worker_failures")
+                    finished.append((state, None, exc))
                     completed.add(future)
                 else:
-                    finished.append((state, payload))
+                    finished.append((state, result, None))
                     completed.add(future)
             if pool_broken:
                 break
@@ -304,33 +339,32 @@ class WorkerSupervisor:
             if future in completed:
                 continue
             try:
-                payload = future.result(timeout=30.0)
+                result = future.result(timeout=30.0)
             except (BrokenExecutor, CancelledError, TimeoutError):
                 blamed.append(state)
             except Exception as exc:  # noqa: BLE001 - worker raised
-                self._count("runner.worker_failures")
-                finished.append((state, failure_payload(
-                    exc, state.experiment_id,
-                    state.task["seed"], state.task["fast"],
-                    config_hash=state.task.get("config_hash"),
-                    spec=state.task.get("spec"),
-                )))
+                self._metrics.count("runner.worker_failures")
+                finished.append((state, None, exc))
             else:
-                finished.append((state, payload))
+                finished.append((state, result, None))
         return finished, blamed, reason
 
     # -- crash handling ------------------------------------------------
 
     def _handle_crash(
         self, blamed: list[_TaskState], reason: str
-    ) -> list[tuple[_TaskState, dict | None]]:
+    ) -> list[tuple[_TaskState, WorkerCrashError | None]]:
         """Process one crash event; returns (state, quarantine-or-None)."""
         exit_code = self._harvest_exit_code()
         exit_signal = _signal_name(exit_code)
         self._note_rebuild(reason)
-        if self._on_crash is not None:
-            self._on_crash()
-        verdicts: list[tuple[_TaskState, dict | None]] = []
+        if self.cache_dir is not None:
+            from repro.io.artifacts import ArtifactCache
+
+            ArtifactCache(self.cache_dir, sweep=False).sweep_orphans(
+                max_age_seconds=0.0
+            )
+        verdicts: list[tuple[_TaskState, WorkerCrashError | None]] = []
         # A quarantine verdict needs *precise* blame: only when exactly
         # one task was in flight is the killer identified beyond doubt.
         # A batch blame just marks everyone involved as a suspect (and
@@ -343,10 +377,10 @@ class WorkerSupervisor:
             state.exit_code = exit_code
             state.exit_signal = exit_signal
             state.reason = reason
-            self._count("runner.worker_crashes")
-            with self._span(
+            self._metrics.count("runner.worker_crashes")
+            with self._tracer.span(
                 "worker_crash",
-                experiment_id=state.experiment_id,
+                **state.tags,
                 exit_code=exit_code,
                 exit_signal=exit_signal,
                 crashes=state.crashes,
@@ -363,71 +397,56 @@ class WorkerSupervisor:
             and self._pool_rebuilds >= self.max_pool_rebuilds
         ):
             self._degraded = True
-            self._count("runner.degraded")
-            with self._span("degrade", pool_rebuilds=self._pool_rebuilds):
+            self._metrics.count("runner.degraded")
+            with self._tracer.span("degrade", pool_rebuilds=self._pool_rebuilds):
                 pass
         return verdicts
 
-    def _quarantine(self, state: _TaskState) -> dict:
-        """The poison-task verdict: a structured crash record, no requeue."""
-        self._count("runner.quarantined")
-        quarantine_reason = (
-            f"crash budget exhausted: killed {state.crashes} consecutive "
-            f"worker(s) (last: {state.reason})"
-        )
-        error = WorkerCrashError(
-            f"worker crashed running {state.experiment_id}; "
-            f"task quarantined after {state.crashes} worker death(s)",
-            exit_code=state.exit_code,
-            exit_signal=state.exit_signal,
-            attempt=state.crashes,
-            quarantined=True,
-            reason=quarantine_reason,
-            experiment_id=state.experiment_id,
-            seed=state.task["seed"],
-            stage="run",
-        )
-        with self._span(
+    def _quarantine(self, state: _TaskState) -> WorkerCrashError:
+        """The poison-task verdict: a structured crash error, no requeue."""
+        self._metrics.count("runner.quarantined")
+        with self._tracer.span(
             "quarantine",
-            experiment_id=state.experiment_id,
+            **state.tags,
             exit_code=state.exit_code,
             exit_signal=state.exit_signal,
             crashes=state.crashes,
         ):
             pass
-        return failure_payload(
-            error, state.experiment_id, state.task["seed"],
-            state.task["fast"],
-            config_hash=state.task.get("config_hash"),
-            spec=state.task.get("spec"),
+        return WorkerCrashError(
+            f"worker crashed running {state.label()}; "
+            f"task quarantined after {state.crashes} worker death(s)",
+            exit_code=state.exit_code,
+            exit_signal=state.exit_signal,
+            attempt=state.crashes,
+            quarantined=True,
+            reason=(
+                f"crash budget exhausted: killed {state.crashes} consecutive "
+                f"worker(s) (last: {state.reason})"
+            ),
+            stage="run",
         )
 
-    # -- degraded (sequential, in-process) mode ------------------------
+    # -- in-process execution ------------------------------------------
 
-    def _run_degraded(
-        self, queue: list[_TaskState]
-    ) -> Iterator[tuple[int, dict]]:
-        """Finish the remaining tasks in-process, in suite order.
+    def _run_in_process(
+        self, fn: Callable[[dict], object], queue: list[_TaskState]
+    ) -> Iterator[Outcome]:
+        """Run tasks in this process, in queue order.
 
-        The worker protocol is reused verbatim — the task runs under
-        its own tracer/metrics and returns a shard — so the runner's
-        merge path cannot tell degraded completions from pool ones.
-        Worker-only fault modes (``kill``) do not fire in this process,
-        which is exactly the point of the ladder: an experiment that
-        only dies under process isolation still gets its one honest
-        in-process run before the suite gives up on it.
+        The sequential path at ``workers=1`` and the bottom rung of the
+        degradation ladder.  Worker-only fault modes (``kill``) do not
+        fire here, which is exactly the point of the ladder: a task
+        that only dies under process isolation still gets its one
+        honest in-process run.
         """
-        for state in sorted(queue, key=lambda s: s.index):
+        for state in queue:
             try:
-                payload = run_experiment_task(state.task)
+                result = fn(state.task)
             except Exception as exc:  # noqa: BLE001 - isolation boundary
-                payload = failure_payload(
-                    exc, state.experiment_id, state.task["seed"],
-                    state.task["fast"],
-                    config_hash=state.task.get("config_hash"),
-                    spec=state.task.get("spec"),
-                )
-            yield state.index, payload
+                yield state.index, None, exc
+            else:
+                yield state.index, result, None
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -435,8 +454,8 @@ class WorkerSupervisor:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=min(self.workers, max(batch_size, 1)),
-                mp_context=self._mp_context,
-                initializer=worker_init,
+                mp_context=_pool_context(),
+                initializer=_worker_init,
             )
         return self._pool
 
@@ -444,9 +463,9 @@ class WorkerSupervisor:
         """Tear down the broken pool and account for the rebuild."""
         self._shutdown_pool(wait_for_workers=False)
         self._pool_rebuilds += 1
-        self._count("runner.pool_rebuilds")
-        with self._span("pool_rebuild", rebuilds=self._pool_rebuilds,
-                        reason=reason):
+        self._metrics.count("runner.pool_rebuilds")
+        with self._tracer.span("pool_rebuild", rebuilds=self._pool_rebuilds,
+                               reason=reason):
             pass
 
     def _observe_exit_codes(self) -> None:
@@ -507,16 +526,3 @@ class WorkerSupervisor:
         if self._pool is not None:
             self._pool.shutdown(wait=wait_for_workers, cancel_futures=True)
             self._pool = None
-
-    # -- observability plumbing ----------------------------------------
-
-    def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.count(name)
-
-    def _span(self, name: str, **attributes):
-        if self._tracer is not None:
-            return self._tracer.span(name, **attributes)
-        import contextlib
-
-        return contextlib.nullcontext()

@@ -11,7 +11,9 @@ from repro.bibliometrics.shardgen import (
     topic_skeleton,
 )
 from repro.bibliometrics.synthgen import default_venue_profiles
-from repro.runtime.faultinject import FaultInjector
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.tracing import Tracer, use_tracer
+from repro.runtime.faultinject import FaultInjector, InjectedFault
 
 CONFIG = ShardedCorpusConfig(
     start_year=2019, end_year=2025, seed=3, total_papers=1400, shard_size=400
@@ -127,10 +129,16 @@ class TestWorkerInvariance:
         injector.register(
             "shardgen:shard", mode="kill", probability=1.0, times=1
         )
-        corpus = generate_columnar_corpus(
-            CONFIG, workers=2, fault_injector=injector
-        )
+        tracer = Tracer()
+        metrics = MetricsRegistry()
+        with use_tracer(tracer), use_metrics(metrics):
+            corpus = generate_columnar_corpus(
+                CONFIG, workers=2, fault_injector=injector
+            )
         assert corpus.fingerprint() == baseline_fingerprint
+        # The crash is supervised like an experiment crash: counted and traced.
+        assert metrics.snapshot()["counters"]["runner.worker_crashes"] >= 1
+        assert any(span.name == "pool_rebuild" for span in tracer.finished)
 
     def test_degrades_to_sequential_past_rebuild_budget(
         self, baseline_fingerprint
@@ -142,10 +150,24 @@ class TestWorkerInvariance:
         injector.register(
             "shardgen:shard", mode="kill", probability=1.0, times=None
         )
-        corpus = generate_columnar_corpus(
-            CONFIG, workers=2, fault_injector=injector, max_pool_rebuilds=1
-        )
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            corpus = generate_columnar_corpus(
+                CONFIG, workers=2, fault_injector=injector
+            )
         assert corpus.fingerprint() == baseline_fingerprint
+        assert metrics.snapshot()["counters"]["runner.degraded"] == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raise_fault_fires_at_any_worker_count(self, workers):
+        injector = FaultInjector(seed=0)
+        injector.register(
+            "shardgen:shard", mode="raise", probability=1.0, times=1
+        )
+        with pytest.raises(InjectedFault):
+            generate_columnar_corpus(
+                CONFIG, workers=workers, fault_injector=injector
+            )
 
 
 class TestCacheStreaming:

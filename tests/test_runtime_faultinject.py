@@ -71,6 +71,20 @@ class TestModes:
         assert fire_sequence(injector, "p", n=5) == [
             True, True, False, False, False,
         ]
+        # The same budget across a task handoff: worker crashes are
+        # credited against kill budgets only, so "crash once, then
+        # succeed" arrives spent while a raise schedule arrives intact.
+        for mode, times, crashes, fired in (
+            ("raise", 2, 1, 0),
+            ("kill", 1, 1, 1),
+        ):
+            source = FaultInjector(seed=3)
+            source.register("p", mode=mode, times=times)
+            rebuilt = FaultInjector.from_task(source.to_task(), crashes)
+            assert rebuilt.seed == 3
+            assert rebuilt.spec("p").fired == fired, mode
+            assert rebuilt.should_fire("p") is (mode == "raise")
+        assert FaultInjector.from_task(None, 2) is None
 
     def test_corrupt_mode_damages_return_value(self):
         injector = FaultInjector()
