@@ -13,8 +13,20 @@ anchored regex match.  Inputs built from near misses are its worst case:
   with long whitespace runs between chunks, a candidate that confirms
   only after crossing each run.
 
-Each input is scanned at 1x, 2x and 4x its base size, and the table
-reports seconds per MB of text: flat rows mean linear time.
+Statement-marker inputs mark every paper, so each reaches the
+positionality detector:
+
+- ``positionality_lines``: many ``positionality`` lines, none a header,
+  so no section confirms and the full extractor runs on every paper;
+- ``cue_free_sections``: ``Positionality`` headers whose bodies hold no
+  facet cue, which also force the extractor;
+- ``broken_cues``: ``Positionality`` sections whose cue is broken by
+  line breaks, confirmed from the section.
+
+``plain_prose`` — sentences with no phrase or marker — is the baseline
+the other rows compare against.  Each input is scanned at 1x, 2x and 4x
+its base size, and the table reports seconds per MB of text: flat rows
+mean linear time.
 
 Run it directly (prints the table)::
 
@@ -50,11 +62,23 @@ def _repeat_papers(unit: str, chars: int) -> list[str]:
 
 
 INPUTS = {
+    "plain_prose": lambda chars: _repeat_papers(
+        "The link latency fell after the upgrade. ", chars
+    ),
     "we_runs": lambda chars: _repeat_papers("we ", chars),
     "long_stem": lambda chars: ["ethnograph" + "y" * (chars // 4 - 10)] * 4,
     "participatory_runs": lambda chars: _repeat_papers("participatory ", chars),
     "whitespace_gaps": lambda chars: _repeat_papers(
         "participatory" + " " * 200 + "action" + " " * 200 + "researchx ", chars
+    ),
+    "positionality_lines": lambda chars: _repeat_papers(
+        "the positionality of routers matters\n", chars
+    ),
+    "cue_free_sections": lambda chars: _repeat_papers(
+        "Positionality\nWe measure BGP tables.\n", chars
+    ),
+    "broken_cues": lambda chars: _repeat_papers(
+        "Positionality\nWe\nwrite\nas operators.\n", chars
     ),
 }
 

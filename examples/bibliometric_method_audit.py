@@ -69,9 +69,8 @@ def main() -> None:
     print(prevalence.render())
 
     # 3. Agenda concentration: citations and topics.
-    citation_counts = [
-        corpus.citation_counts().get(p.paper_id, 0) for p in corpus
-    ]
+    cited = corpus.citation_counts()
+    citation_counts = [cited.get(p.paper_id, 0) for p in corpus]
     print()
     print("Agenda / attention concentration:")
     print(f"  citation Gini:            {gini(citation_counts):.3f}")

@@ -224,6 +224,7 @@ def _run_corpus_scan(repeats: int) -> list[dict]:
         metric="papers_per_second", unit="papers/second", better="higher",
         context={"repeats": repeats, "papers": _SCAN_PAPERS,
                  "shards": corpus.n_shards, "matcher": "block",
+                 "positionality": "section",
                  "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]
 
@@ -254,6 +255,7 @@ def _run_experiment_scan(repeats: int) -> list[dict]:
         metric="papers_per_second", unit="papers/second", better="higher",
         context={"repeats": repeats, "papers": papers, "corpus": "shardgen",
                  "shards": corpus.n_shards, "preset": "fast", "matcher": "block",
+                 "positionality": "section",
                  "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]
 

@@ -22,9 +22,14 @@ An ASCII block is joined into one string and scanned by a block
 matcher: numpy finds the tokens that could start a lexicon phrase, the
 family patterns confirm exactly at those sites, and statement markers
 are found with ``str.find``, so only marked papers reach the
-positionality detector.  A block with any non-ASCII text falls back to
-per-paper :func:`~repro.bibliometrics.methods_detect.classify_text`.
-Either way the counts equal those of classifying each paper alone.
+positionality detector.  The detector confirms a marked paper from its
+"Positionality" section when that section shows a facet cue, and runs
+the full extractor only on the papers it cannot confirm (no section,
+a cue-free one, or an inline statement).  A block with any non-ASCII
+text falls back to per-paper
+:func:`~repro.bibliometrics.methods_detect.classify_text` and the same
+detector.  Either way the counts equal those of classifying each paper
+alone.
 """
 
 from __future__ import annotations
@@ -400,7 +405,11 @@ def _classify_block(
     count, and whether each paper carries a positionality statement.
     An ASCII block goes through the block matcher; any other block
     through per-paper :func:`classify_text`, because lowercasing and the
-    ASCII token table are only exact on ASCII text.
+    ASCII token table are only exact on ASCII text.  On either path a
+    paper without a statement marker is rejected on the marker alone,
+    and :func:`has_positionality_statement` decides a marked one from
+    its "Positionality" section where it can; the full extractor runs
+    on the rest.
     """
     n = len(texts)
     detected = np.zeros(n, dtype=bool)

@@ -12,10 +12,11 @@ statement covers, and the extractor recovers statements from paper text
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from repro.textmine.sections import find_section, split_sections
-from repro.textmine.tokenize import sentences
+from repro.textmine.sections import _is_header, find_section, split_sections
+from repro.textmine.tokenize import find_normalized, sentences
 
 #: The disclosure facets Section 4 enumerates.
 FACETS: tuple[str, ...] = (
@@ -55,9 +56,22 @@ _FACET_CUES: dict[str, tuple[str, ...]] = {
     ),
 }
 
+#: Every facet cue as one pattern, each space matching any whitespace
+#: run: over a lowered text it finds exactly the cues that
+#: :func:`_facets_in_text` finds in that text's normalized sentences.
+_CUE_RE = re.compile(
+    "|".join(
+        r"\s+".join(map(re.escape, cue.split(" ")))
+        for cues in _FACET_CUES.values()
+        for cue in cues
+    )
+)
+
 #: Marker phrases :func:`has_positionality_statement` requires before
-#: running the extractor; exported so bulk scanners (the columnar
-#: shard scan) can prefilter candidate papers cheaply.
+#: anything else; exported so bulk scanners (the columnar shard scan)
+#: can prefilter candidate papers cheaply.  A marked paper is then
+#: decided from its "Positionality" section when that section shows a
+#: facet cue, and by the full :func:`extract_statements` otherwise.
 STATEMENT_MARKERS = (
     "positionality",
     "we situate ourselves",
@@ -156,7 +170,9 @@ def extract_statements(paper_text: str) -> list[PositionalityStatement]:
     for sentence in sentences(remaining):
         lowered = sentence.lower()
         if any(marker in lowered for marker in STATEMENT_MARKERS):
-            start = remaining.find(sentence)
+            # ``sentence`` is normalized text; find where it starts in
+            # the raw text, whitespace runs and curly quotes included.
+            start = find_normalized(remaining, sentence)
             window = remaining[start : start + 500]
             claimed_spans.append(window)
             break  # one inline statement per paper is the realistic case
@@ -184,13 +200,47 @@ def extract_statements(paper_text: str) -> list[PositionalityStatement]:
     return statements
 
 
+def _positionality_section_body(paper_text: str) -> str | None:
+    """Body of the section ``find_section(split_sections(paper_text),
+    "positionality")`` returns, built as :func:`split_sections` builds
+    it, without splitting the rest of the paper; None when absent.
+
+    A header's title is its line less hashes, number and a final
+    period, so a header line naming positionality has it in its title.
+    """
+    lines = paper_text.splitlines()
+    for index, line in enumerate(lines):
+        if "positionality" not in line.lower() or _is_header(line) is None:
+            continue
+        body: list[str] = []
+        for following in lines[index + 1 :]:
+            if _is_header(following) is not None:
+                break
+            body.append(following)
+        return "\n".join(body).strip()
+    return None
+
+
 def has_positionality_statement(paper_text: str) -> bool:
     """True when the text carries a recognizable positionality statement.
 
     Requires a marker *and* at least one parsed facet, so a paper that
     merely cites positionality literature does not count.
+
+    Equal to ``any(s.disclosed_facets() for s in
+    extract_statements(paper_text))`` after the marker check, but a
+    paper whose "Positionality" section shows a facet cue is confirmed
+    from that section alone: the extractor would turn the section into
+    a statement disclosing that facet.  The cue search runs on the
+    lowered body with each space matching a whitespace run, which is
+    the test :func:`_facets_in_text` applies sentence by sentence —
+    sentences end only at whitespace after ``.!?``, which no cue
+    contains.  Every other marked paper runs the full extractor.
     """
     lowered = paper_text.lower()
     if not any(marker in lowered for marker in STATEMENT_MARKERS):
         return False
+    body = _positionality_section_body(paper_text)
+    if body and _CUE_RE.search(body.lower()):
+        return True
     return any(s.disclosed_facets() for s in extract_statements(paper_text))

@@ -67,6 +67,21 @@ class Token:
         return bool(_WORD_RE.fullmatch(self.text))
 
 
+#: Unicode punctuation :func:`normalize` unifies, each one character
+#: for one, so only whitespace runs move offsets.
+_UNIFIED_PUNCTUATION = str.maketrans({
+    "‘": "'",
+    "’": "'",
+    "“": '"',
+    "”": '"',
+    "–": "-",
+    "—": "-",
+    "\u00a0": " ",
+})
+
+_WHITESPACE_RUN = re.compile(r"\s+")
+
+
 def normalize(text: str) -> str:
     """Normalize whitespace and unify common unicode punctuation.
 
@@ -74,18 +89,32 @@ def normalize(text: str) -> str:
     of whitespace collapse to single spaces.  Used before tokenization so
     corpora generated on different platforms compare equal.
     """
-    replacements = {
-        "‘": "'",
-        "’": "'",
-        "“": '"',
-        "”": '"',
-        "–": "-",
-        "—": "-",
-        " ": " ",
-    }
-    for src, dst in replacements.items():
-        text = text.replace(src, dst)
-    return re.sub(r"\s+", " ", text).strip()
+    return _WHITESPACE_RUN.sub(" ", text.translate(_UNIFIED_PUNCTUATION)).strip()
+
+
+def find_normalized(text: str, piece: str) -> int:
+    """Offset in raw ``text`` of the first occurrence of ``piece`` in
+    ``normalize(text)``, or -1.
+
+    ``piece`` is normalized text that starts with a non-space, such as
+    one of :func:`sentences`: the raw span found may hold whitespace
+    runs, line breaks, curly quotes and dashes where ``piece`` has a
+    single space, straight quote or hyphen.
+
+    >>> find_normalized("Intro.\\n\\nWe   met “operators”.", 'We met "operators".')
+    8
+    """
+    at = normalize(text).find(piece)
+    if at < 0:
+        return -1
+    shift = 0  # raw offset minus normalized offset, so far
+    for run in _WHITESPACE_RUN.finditer(text):
+        start, end = run.span()
+        if start - shift > at:
+            break
+        # The leading run is stripped; every other run keeps one space.
+        shift += end - start - (start > 0)
+    return at + shift
 
 
 def sentences(text: str) -> list[str]:

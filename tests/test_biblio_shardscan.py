@@ -20,6 +20,7 @@ from repro.bibliometrics.methods_detect import (
 )
 from repro.bibliometrics.shardgen import ShardedCorpusConfig, generate_columnar_corpus
 from repro.bibliometrics.shardscan import CorpusAggregates, scan_corpus, scan_shard
+from repro.core import positionality
 from repro.core.positionality import has_positionality_statement
 from repro.bibliometrics.trends import (
     adoption_series,
@@ -27,6 +28,7 @@ from repro.bibliometrics.trends import (
     venue_adoption_table,
     venue_adoption_table_from_counts,
 )
+from tests.positionality_oracle import has_statement_oracle
 
 CONFIG = ShardedCorpusConfig(
     start_year=2017, end_year=2025, seed=11, total_papers=1200, shard_size=350
@@ -278,7 +280,7 @@ def _text_shard(titles, abstracts, bodies, venue_idx=None, years=None, truth=Non
 
 def per_paper_fold(shard, vocab, min_mentions=1) -> CorpusAggregates:
     """The text fields of a scan, folded paper by paper from
-    ``classify_text`` and ``has_positionality_statement``."""
+    ``classify_text`` and the full-extractor positionality oracle."""
     venue_ids = [venue.venue_id for venue in vocab.venues]
     folded = CorpusAggregates(n_papers=shard.n_papers)
     for local in range(shard.n_papers):
@@ -291,7 +293,7 @@ def per_paper_fold(shard, vocab, min_mentions=1) -> CorpusAggregates:
         bucket["papers"] += 1
         if human >= min_mentions:
             bucket["human"] += 1
-        detected = has_positionality_statement(text)
+        detected = has_statement_oracle(text)
         actual = bool(shard.positionality[local])
         cells = folded.positionality.setdefault(key, Counter())
         cells["papers"] += 1
@@ -367,6 +369,24 @@ NEAR_MISSES = (
     "ethnograph", "position", "situate themselves",
 )
 
+#: Statements as the generator writes them (a header line, then the
+#: body), and near misses the section confirmation must leave to the
+#: extractor: cue-free, empty and second sections, header-like lines
+#: the splitter rejects, and cues broken across lines.
+SECTION_STATEMENTS = (
+    "Positionality\nWe write as network engineers based in the Global South.",
+    "Positionality Statement\nThe authors situate themselves as operators "
+    "with ties to\nrural ISPs; this standpoint shaped which questions we asked.",
+    "Positionality\r\nglobal   south",
+    "# Positionality\n\nWe measure BGP tables.",
+    "4 Positionality\n",
+    "Positionality\nWe measure.\n\n2 Methods\nWe write as engineers.",
+    "Positionality\nNothing.\n4.1 Our Positionality\nWe are operators.",
+    "3 Positionality.\nWe write as operators.",
+    "positionality\nWe are here.",
+    "Our positionality\nWe situate ourselves as members of\nthe community.",
+)
+
 #: Characters whose case mapping or folding is not ASCII's.
 NON_ASCII = (
     "\u0130", "\u212a", "\u017f", "\u0130nterviews", "\u212anowledge", "\u017furvey of",
@@ -428,6 +448,13 @@ def papers(draw):
     body = draw(text_parts(8))
     if draw(st.integers(0, 3)) == 0:
         body = draw(st.sampled_from(NON_ASCII)) + " " + body
+    statement = draw(st.sampled_from(("",) * 3 + SECTION_STATEMENTS))
+    if statement and draw(st.booleans()):
+        # At the paper's start: the section runs on into the abstract.
+        title = f"{statement}\n{title}".rstrip("\n")
+    elif statement:
+        # At the paper's end: the next paper's text follows the body.
+        body = f"{body}\n{statement}".lstrip("\n")
     return title, abstract, body
 
 
@@ -470,6 +497,19 @@ class TestBlockMatcherEquivalence:
             assert text_fields(scan_shard(shard, corpus.vocab)) == text_fields(
                 per_paper_fold(shard, corpus.vocab)
             )
+
+    def test_generated_statements_skip_the_extractor(self, corpus):
+        # Every generated statement is a section with a facet cue, so the
+        # section confirmation decides each marked paper on its own.
+        with mock.patch.object(
+            positionality, "extract_statements", wraps=positionality.extract_statements
+        ) as extractor:
+            scanned = [scan_shard(shard, corpus.vocab) for shard in corpus.iter_shards()]
+        assert extractor.call_count == 0
+        detected = sum(
+            cells["detected"] for part in scanned for cells in part.positionality.values()
+        )
+        assert detected == sum(int(shard.positionality.sum()) for shard in corpus.iter_shards())
 
     @pytest.mark.parametrize("titles", [
         [STATEMENT, STATEMENT, "x " + STATEMENT],

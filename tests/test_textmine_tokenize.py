@@ -1,9 +1,12 @@
 """Tests for repro.textmine.tokenize."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.textmine.tokenize import (
     Token,
+    find_normalized,
     ngrams,
     normalize,
     sentences,
@@ -27,6 +30,34 @@ class TestNormalize:
 
     def test_empty_string(self):
         assert normalize("") == ""
+
+
+class TestFindNormalized:
+    def test_matches_across_whitespace_runs_and_line_breaks(self):
+        text = "Intro.\n\nWe   met\r\noperators."
+        assert find_normalized(text, "We met operators.") == 8
+
+    def test_matches_curly_quotes_and_dashes(self):
+        text = "x \u201cwe\u2019re\u201d \u2013 here"
+        assert find_normalized(text, "\"we're\" - here") == 2
+
+    def test_missing_span(self):
+        assert find_normalized("We met operators.", "We met users.") == -1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(
+        alphabet=st.sampled_from(
+            list("aZ.?! (9'\"-\n\t\r") + ["\u00a0", "\u2018", "\u2019",
+                                        "\u201c", "\u201d", "\u2013", "\u2014"]
+        ),
+        max_size=60,
+    ))
+    def test_every_sentence_is_found_in_the_raw_text(self, text):
+        for sentence in sentences(text):
+            at = find_normalized(text, sentence)
+            assert at >= 0
+            assert normalize(text[at]) == sentence[0]
+            assert normalize(text[at:]).startswith(sentence)
 
 
 class TestSentences:
