@@ -1,38 +1,21 @@
-"""Shared harness for the experiment benchmarks.
+"""Shared helpers for the benchmarks.
 
-Each ``bench_eXX_*.py`` file wraps one experiment from
-:mod:`repro.experiments` in pytest-benchmark, asserts the experiment's
-shape checks (the DESIGN.md "expected shape" column), and persists two
-artifacts under ``benchmarks/results/``:
+- :data:`RESULTS_DIR` / :data:`LEDGER_PATH` — where benchmarks persist
+  their JSON artifacts and the bench ledger
+  (``benchmarks/results/BENCH_history.json``) that ``repro bench
+  report``/``gate`` read;
+- :func:`peak_rss_bytes` / :func:`measure_peak_rss` — peak-RSS probes.
 
-- ``eXX.txt`` — the rendered result tables, pasted into EXPERIMENTS.md;
-- ``eXX.json`` — per-round stage timings captured by the
-  :mod:`repro.obs` tracer, the baseline every perf PR compares against.
-
-Every run also appends one normalized row per experiment to the bench
-ledger (``benchmarks/results/BENCH_history.json``) so ``repro bench
-report``/``gate`` see the suite benchmarks alongside the CLI hot paths.
-
-Nothing is persisted when a shape check fails: a broken run must not
-overwrite a good baseline.
-
-Benchmarks run each experiment once per round (``pedantic``): the
-experiments are deterministic whole-system runs, not microbenchmarks,
-so statistical repetition buys nothing but wall-clock.
+The experiments themselves are timed end to end by
+``benchmarks/e2e/`` and run with ``python -m repro experiments EN``.
 """
 
 from __future__ import annotations
 
-import json
 import resource
 import sys
 from pathlib import Path
 from typing import Any, Callable
-
-from repro.bench.ledger import append_entries, make_entry
-from repro.experiments.registry import ExperimentResult, get_experiment, make_spec
-from repro.obs import Tracer, use_tracer
-from repro.obs.metrics import percentile
 
 RESULTS_DIR = Path(__file__).parent / "results"
 LEDGER_PATH = RESULTS_DIR / "BENCH_history.json"
@@ -66,115 +49,3 @@ def measure_peak_rss(fn: Callable[[], Any]) -> tuple[Any, int]:
     before = peak_rss_bytes()
     result = fn()
     return result, max(0, peak_rss_bytes() - before)
-
-
-def _make_runner(experiment_id: str, workers: int):
-    """A callable running the experiment at the requested worker count.
-
-    ``workers == 1`` calls the experiment directly (the historical
-    baseline path); ``workers > 1`` routes through the suite runner so
-    the measurement includes pool dispatch and shard merging.
-    """
-    if workers == 1:
-        return get_experiment(experiment_id)
-
-    def run(seed: int = 0, fast: bool = True) -> ExperimentResult:
-        from repro.runtime.runner import SuiteRunner
-
-        report = SuiteRunner(workers=workers).run_all(
-            [experiment_id], seed=seed, fast=fast
-        )
-        record = report.records[0]
-        if record.result is None:
-            raise AssertionError(
-                f"{experiment_id} failed under workers={workers}: "
-                f"{record.error_type}: {record.error}"
-            )
-        return record.result
-
-    return run
-
-
-def _sequential_mean(timings_path: Path) -> float | None:
-    """The last recorded workers=1 mean for this experiment, if any."""
-    if not timings_path.exists():
-        return None
-    try:
-        previous = json.loads(timings_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if previous.get("workers", 1) != 1:
-        return previous.get("sequential_mean_run_seconds")
-    return previous.get("mean_run_seconds")
-
-
-def run_and_record(
-    experiment_id: str,
-    benchmark,
-    seed: int = 0,
-    fast: bool = True,
-    rounds: int = 3,
-    workers: int = 1,
-) -> ExperimentResult:
-    """Benchmark one experiment, assert its shape, persist its artifacts."""
-    runner = _make_runner(experiment_id, workers)
-    tracer = Tracer()
-    with use_tracer(tracer):
-        result = benchmark.pedantic(
-            runner, kwargs={"seed": seed, "fast": fast}, rounds=rounds,
-            iterations=1,
-        )
-
-    # Assert before persisting: a failing shape must not replace the
-    # last good baseline on disk.
-    failing = {name for name, ok in result.checks.items() if not ok}
-    assert not failing, f"{experiment_id} shape checks failed: {failing}"
-
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    out_path = RESULTS_DIR / f"{experiment_id.lower()}.txt"
-    out_path.write_text(result.render() + "\n", encoding="utf-8")
-
-    stages = [
-        {"name": span.name, "round": index, "duration": span.duration}
-        for index, span in enumerate(tracer.finished)
-    ]
-    durations = [stage["duration"] for stage in stages]
-    mean = sum(durations) / len(durations) if durations else 0.0
-    timings_path = RESULTS_DIR / f"{experiment_id.lower()}.json"
-    sequential_mean = mean if workers == 1 else _sequential_mean(timings_path)
-    timings = {
-        "experiment_id": experiment_id,
-        "seed": seed,
-        "fast": fast,
-        "rounds": len(durations),
-        "workers": workers,
-        "stages": stages,
-        "mean_run_seconds": mean,
-        "min_run_seconds": min(durations, default=0.0),
-        "max_run_seconds": max(durations, default=0.0),
-        # Speedup over the last recorded workers=1 mean; 1.0 by
-        # definition for a sequential run, null when no baseline exists.
-        "sequential_mean_run_seconds": sequential_mean,
-        "speedup_vs_sequential": (
-            sequential_mean / mean if sequential_mean and mean else None
-        ),
-    }
-    timings_path.write_text(
-        json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    preset = "fast" if fast else "full"
-    append_entries(LEDGER_PATH, [make_entry(
-        f"suite.{experiment_id}",
-        mean,
-        metric="mean_run_seconds",
-        config_hash=make_spec(experiment_id, preset, seed=seed).config_hash(),
-        context={
-            "rounds": len(durations),
-            "workers": workers,
-            "preset": preset,
-            "p50_run_seconds": percentile(durations, 0.50),
-            "p95_run_seconds": percentile(durations, 0.95),
-        },
-    )])
-    return result

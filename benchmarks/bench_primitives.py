@@ -1,8 +1,8 @@
 """Micro-benchmarks for the library's hot primitives.
 
-The experiment benchmarks (bench_e01..e12) time whole studies; these
-time the individual kernels they are built from, so a performance
-regression can be localized.  The scanner and tf-idf kernels also
+The end-to-end benchmark (``benchmarks/e2e/``) times whole studies;
+these time the individual kernels they are built from, so a
+performance regression can be localized.  The scanner and tf-idf kernels also
 append a row to the bench ledger through the *same* fixed-workload
 runners ``repro bench run`` uses, so `repro bench gate` sees them no
 matter which entry point did the measuring.

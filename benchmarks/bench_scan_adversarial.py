@@ -1,4 +1,4 @@
-"""Adversarial inputs for the block matcher: scan time must be linear in text.
+"""Adversarial inputs for the block scan: scan time must be linear in text.
 
 The corpus scan (``shardscan.scan_shard``) finds candidate sites for
 lexicon phrases over a whole block of papers, then confirms each with an
@@ -24,7 +24,9 @@ positionality detector:
   line breaks, confirmed from the section.
 
 ``plain_prose`` — sentences with no phrase or marker — is the baseline
-the other rows compare against.  Each input is scanned at 1x, 2x and 4x
+the other rows compare against.  ``non_ascii_prose`` is the same prose
+with one ``İ`` or Kelvin sign per paper, so every block takes the regex
+token source instead of the numpy prefilter.  Each input is scanned at 1x, 2x and 4x
 its base size, and the table reports seconds per MB of text: flat rows
 mean linear time.
 
@@ -65,6 +67,12 @@ INPUTS = {
     "plain_prose": lambda chars: _repeat_papers(
         "The link latency fell after the upgrade. ", chars
     ),
+    "non_ascii_prose": lambda chars: [
+        "\u0130\u212a"[i % 2] + " " + paper
+        for i, paper in enumerate(
+            _repeat_papers("The link latency fell after the upgrade. ", chars)
+        )
+    ],
     "we_runs": lambda chars: _repeat_papers("we ", chars),
     "long_stem": lambda chars: ["ethnograph" + "y" * (chars // 4 - 10)] * 4,
     "participatory_runs": lambda chars: _repeat_papers("participatory ", chars),

@@ -13,26 +13,35 @@ reproducible — the same properties Section 5 asks of qualitative
 practice itself.  Every hit carries its matched phrase and character
 offset so a human can audit the classification with a KWIC view.
 
-Scanning is single-pass: the text is tokenized once and each token is
-hash-dispatched (by the first word of every lexicon phrase) to cheap
-anchored per-family checks, instead of running one full regex scan per
-family (eleven passes for the default lexicon).  A combined named-group
-alternation was tried first and measured *slower* than multipass —
-Python's ``re`` attempts every branch at every position, so a big
-alternation costs the sum of the per-family scans plus bookkeeping; the
-token index skips all positions whose word can't start any phrase.  The
-scanner preserves the per-family semantics exactly — each family yields
-its own greedy left-to-right non-overlapping matches, families never
-consume text from each other — which the naive per-family ``finditer``
-reference in the tests pins down.  The same first-word index
-(:class:`FirstWordIndex`) drives the block-level corpus matcher in
-:mod:`repro.bibliometrics.shardscan`.
+One matcher serves a single text and a whole corpus block.
+:class:`LexiconScanner` indexes every phrase by its first word
+(:class:`FirstWordIndex`) and confirms each candidate token with its
+family's anchored pattern and a per-family resume offset, so each
+family yields its own greedy left-to-right non-overlapping matches —
+exactly one ``finditer`` pass per family, the reference the tests pin
+down, at one traversal of the text instead of eleven.  Candidates come
+from one of two token sources:
+
+- every ``\\w+`` token, for one text (:meth:`LexiconScanner.detect`)
+  and for a block holding non-ASCII text;
+- a numpy prefilter over an ASCII block
+  (:meth:`LexiconScanner.scan_block`, used by
+  :mod:`repro.bibliometrics.shardscan`), which keeps only the tokens
+  whose 8-byte head the index admits.  It wins at block size and loses
+  on a single paper, so :meth:`~LexiconScanner.detect` does not use it.
+
+A combined named-group alternation was tried first and measured
+*slower* than multipass: Python's ``re`` attempts every branch at every
+position, while the token index skips every position whose word can't
+start a phrase.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.bibliometrics.corpus import Paper
 
@@ -138,9 +147,32 @@ HUMAN_METHOD_FAMILIES: frozenset[str] = frozenset(
 )
 
 
-#: Tokenizer for the single-pass scan: every lexicon phrase that starts
-#: with a word character can only match at one of these token starts.
+#: Tokenizer of the regex token source: every lexicon phrase starts
+#: with a word character, so it can only match at one of these token
+#: starts.
 _WORD_RE = re.compile(r"\w+")
+
+#: The non-ASCII characters IGNORECASE matching equates with an ASCII
+#: letter ("İ", "ı", "ſ" and the Kelvin sign), each with that letter.
+_ASCII_FOLD = (("\u0130", "i"), ("\u0131", "i"), ("\u017f", "s"), ("\u212a", "k"))
+
+
+def fold_case(text: str) -> str:
+    """``text`` lowercased as the family patterns compare it, character
+    for character.
+
+    ``str.lower`` leaves "ſ" and "ı", which the patterns match to "s"
+    and "i", and turns "İ" into two characters.  Folding those first
+    keeps every offset and ``\\w`` boundary of ``text``, so a token of
+    the result equals an (ASCII) phrase word exactly where the pattern
+    can match that word.
+    """
+    if not text.isascii():
+        # Four ``str.replace`` calls: ``str.translate`` on a non-ASCII
+        # string is some twenty times slower.
+        for char, letter in _ASCII_FOLD:
+            text = text.replace(char, letter)
+    return text.lower()
 
 
 def _phrase_pattern(phrase: str) -> str:
@@ -180,11 +212,11 @@ class MethodMention:
 
 @dataclass(frozen=True)
 class FirstWordIndex:
-    """Where a lexicon selection's phrases can start, keyed by first word.
+    """Where a lexicon's phrases can start, keyed by first word.
 
-    Every indexable phrase starts with a word character, so it can only
-    match at the start of a ``\\w+`` token.  A *chunk* is one ``\\w+``
-    run of a phrase, lowercased (``"co-design"`` has chunks ``co`` and
+    Every phrase starts with a word character, so it can only match at
+    the start of a ``\\w+`` token.  A *chunk* is one ``\\w+`` run of a
+    phrase, lowercased (``"co-design"`` has chunks ``co`` and
     ``design``).
 
     Attributes:
@@ -205,91 +237,17 @@ class FirstWordIndex:
     stem_lengths: tuple[int, ...]
     followers: dict[str, tuple[str, ...]]
 
-
-class LexiconScanner:
-    """Single-pass multi-family phrase scanner over a lexicon.
-
-    The text is tokenized once (``\\w+``) and each token is looked up in
-    a *first-word index*: a hash from the leading word of every lexicon
-    phrase (plus a small prefix table for stem-wildcard first words like
-    ``ethnograph*``) to the families whose phrases could start there.
-    Only candidate positions pay an anchored per-family ``match`` call;
-    every other position costs one dictionary probe.  Each family keeps
-    a resume offset so its matches stay non-overlapping, exactly as a
-    per-family ``finditer`` would produce.
-
-    A phrase whose first word does not begin with a ``\\w`` character
-    cannot be token-indexed; selections containing one fall back to an
-    exact (slower) combined-alternation traversal.
-
-    Args:
-        families: Family name -> phrase tuple (the lexicon).
-    """
-
-    def __init__(self, families: dict[str, tuple[str, ...]]) -> None:
-        self.families: tuple[str, ...] = tuple(families)
-        self._family_phrases: dict[str, tuple[str, ...]] = {
-            family: tuple(phrases) for family, phrases in families.items()
-        }
-        self._family_patterns: dict[str, re.Pattern] = {
-            family: re.compile(
-                "|".join(_phrase_pattern(p) for p in phrases), re.IGNORECASE
-            )
-            for family, phrases in families.items()
-        }
-        self._phrase_fragments: dict[str, str] = {
-            family: "|".join(_phrase_pattern(p) for p in phrases)
-            for family, phrases in families.items()
-        }
-        self._combined: dict[tuple[str, ...], re.Pattern] = {}
-        self._indexes: dict[tuple[str, ...], FirstWordIndex | None] = {}
-
-    def pattern_for(self, family: str) -> re.Pattern:
-        """The compiled single-family pattern (KeyError when unknown)."""
-        return self._family_patterns[family]
-
-    def _combined_pattern(self, selected: tuple[str, ...]) -> re.Pattern:
-        """The named-group alternation over ``selected``, cached."""
-        pattern = self._combined.get(selected)
-        if pattern is None:
-            pattern = re.compile(
-                "|".join(
-                    f"(?P<{family}>{self._phrase_fragments[family]})"
-                    for family in selected
-                ),
-                re.IGNORECASE,
-            )
-            self._combined[selected] = pattern
-        return pattern
-
-    def _check_selection(self, selected: tuple[str, ...]) -> None:
-        unknown = [f for f in selected if f not in self._family_patterns]
-        if unknown:
-            raise KeyError(f"unknown method families: {unknown}")
-
-    def first_word_index(
-        self, families: tuple[str, ...] | None = None
-    ) -> FirstWordIndex | None:
-        """The first-word index for ``families`` (default: all), cached.
-
-        None when the selection contains a phrase whose first word does
-        not start with a word character: such a phrase can match away
-        from a token start, so no token index covers it.
-        """
-        selected = tuple(families) if families is not None else self.families
-        if selected in self._indexes:
-            return self._indexes[selected]
-        phrases = [
-            (family, phrase)
-            for family in selected
-            for phrase in self._family_phrases[family]
-        ]
-        index = None
-        if all(_WORD_RE.match(phrase.split()[0]) for _, phrase in phrases):
-            exact: dict[str, list[str]] = {}
-            stems: dict[str, list[str]] = {}
-            followers: dict[str, set[str] | None] = {}
-            for family, phrase in phrases:
+    @classmethod
+    def of(cls, families: dict[str, tuple[str, ...]]) -> "FirstWordIndex":
+        """The index over a lexicon (ValueError on a phrase that is not
+        ASCII or does not start with a word character)."""
+        exact: dict[str, list[str]] = {}
+        stems: dict[str, list[str]] = {}
+        followers: dict[str, set[str] | None] = {}
+        for family, phrases in families.items():
+            for phrase in phrases:
+                if not (phrase.isascii() and _WORD_RE.match(phrase.lstrip())):
+                    raise ValueError(f"phrase {phrase!r} is not ASCII or not word-initial")
                 token = phrase.split()[0]
                 chunks = [chunk.lower() for chunk in _WORD_RE.findall(phrase)]
                 chunk = chunks[0]
@@ -309,18 +267,168 @@ class LexiconScanner:
                         followers[chunk] = None
                 if family not in bucket:
                     bucket.append(family)
-            index = FirstWordIndex(
-                exact={chunk: tuple(fams) for chunk, fams in exact.items()},
-                stems={chunk: tuple(fams) for chunk, fams in stems.items()},
-                stem_lengths=tuple(sorted({len(chunk) for chunk in stems})),
-                followers={
-                    chunk: tuple(sorted(seconds))
-                    for chunk, seconds in followers.items()
-                    if seconds is not None
-                },
+        return cls(
+            exact={chunk: tuple(fams) for chunk, fams in exact.items()},
+            stems={chunk: tuple(fams) for chunk, fams in stems.items()},
+            stem_lengths=tuple(sorted({len(chunk) for chunk in stems})),
+            followers={
+                chunk: tuple(sorted(seconds))
+                for chunk, seconds in followers.items()
+                if seconds is not None
+            },
+        )
+
+
+def _word_tokens(folded: str) -> list[tuple[int, str]]:
+    """Every ``\\w+`` token of ``folded`` as ``(start, token)``."""
+    return [(match.start(), match.group()) for match in _WORD_RE.finditer(folded)]
+
+
+#: ASCII code -> is a ``\\w`` character (the token alphabet).
+_WORD_BYTES = np.array([re.match(r"\w", chr(code)) is not None for code in range(128)])
+
+#: Little-endian bytes a token head holds (see :func:`_head_key`).
+_HEAD_BYTES = 8
+
+
+def _head_key(chunk: str) -> int:
+    """The first :data:`_HEAD_BYTES` bytes of an ASCII chunk as an integer.
+
+    Tokens never contain a zero byte, so for a chunk shorter than the
+    head the zero padding also pins its length: equal keys mean equal
+    strings.  Longer chunks compare by prefix only, which can admit a
+    false candidate but never loses a real one.
+    """
+    return int.from_bytes(chunk[:_HEAD_BYTES].encode("ascii"), "little")
+
+
+def _prefix_tables(chunks) -> list[tuple[int, np.uint64, np.ndarray]]:
+    """``(length, head mask, sorted head keys)`` per distinct chunk length.
+
+    A token *starts with* one of ``chunks`` iff, for some row, it is at
+    least ``length`` long and its masked head is among the keys (up to
+    the head-prefix superset of :func:`_head_key`).
+    """
+    by_length: dict[int, set[int]] = {}
+    for chunk in chunks:
+        by_length.setdefault(len(chunk), set()).add(_head_key(chunk))
+    tables = []
+    for length, keys in sorted(by_length.items()):
+        width = min(length, _HEAD_BYTES)
+        mask = np.uint64((1 << (8 * width)) - 1)
+        tables.append((length, mask, np.array(sorted(keys), dtype=np.uint64)))
+    return tables
+
+
+def _starts_with_any(heads, lengths, tables) -> np.ndarray:
+    """Boolean mask: which tokens start with a chunk of ``tables``."""
+    hit = np.zeros(len(heads), dtype=bool)
+    for length, mask, keys in tables:
+        hit |= (lengths >= length) & np.isin(heads & mask, keys)
+    return hit
+
+
+class LexiconScanner:
+    """Single-pass multi-family phrase scanner over an ASCII lexicon.
+
+    Each candidate token is looked up in the lexicon's
+    :class:`FirstWordIndex`: a hash from the leading word of every
+    phrase (plus a small prefix table for stem-wildcard first words like
+    ``ethnograph*``) to the families whose phrases could start there.
+    Only candidate positions pay an anchored per-family ``match`` call.
+    Each family keeps a resume offset so its matches stay
+    non-overlapping, exactly as a per-family ``finditer`` would produce.
+
+    Args:
+        families: Family name -> phrase tuple (the lexicon).
+
+    Raises:
+        ValueError: A phrase is not ASCII or does not start with a word
+            character (see :meth:`FirstWordIndex.of`).
+    """
+
+    def __init__(self, families: dict[str, tuple[str, ...]]) -> None:
+        self.families: tuple[str, ...] = tuple(families)
+        self._family_patterns: dict[str, re.Pattern] = {
+            family: re.compile(
+                "|".join(_phrase_pattern(p) for p in phrases), re.IGNORECASE
             )
-        self._indexes[selected] = index
-        return index
+            for family, phrases in families.items()
+        }
+        self._family_ids = {family: i for i, family in enumerate(self.families)}
+        self.index = index = FirstWordIndex.of(families)
+        gated = set(index.followers)
+        self._free_keys = np.array(
+            sorted({_head_key(c) for c in index.exact if c not in gated}),
+            dtype=np.uint64,
+        )
+        self._gated_keys = np.array(sorted({_head_key(c) for c in gated}), dtype=np.uint64)
+        self._follower_tables = _prefix_tables(
+            {c for seconds in index.followers.values() for c in seconds}
+        )
+        self._stem_tables = _prefix_tables(index.stems)
+
+    def pattern_for(self, family: str) -> re.Pattern:
+        """The compiled single-family pattern (KeyError when unknown)."""
+        return self._family_patterns[family]
+
+    def _prefiltered_tokens(self, folded: str) -> list[tuple[int, str]]:
+        """The ``(start, token)`` pairs of an ASCII ``folded`` text that
+        the index admits: equal to an exact first chunk (and, when every
+        phrase under that chunk has a second chunk, followed by a token
+        starting with one), or starting with a stem.  A superset of the
+        sites where a phrase matches, found with numpy."""
+        codes = np.frombuffer(folded.encode("ascii"), dtype=np.uint8)
+        edges = np.diff(_WORD_BYTES[codes].view(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        ends = np.flatnonzero(edges == -1)
+        lengths = ends - starts
+        padded = np.zeros(len(codes) + _HEAD_BYTES, dtype=np.uint8)
+        padded[: len(codes)] = codes
+        windows = np.lib.stride_tricks.sliding_window_view(padded, _HEAD_BYTES)[starts]
+        windows[np.arange(_HEAD_BYTES) >= lengths[:, None]] = 0
+        heads = windows.view("<u8").ravel()
+
+        keep = np.isin(heads, self._free_keys)
+        keep |= _starts_with_any(heads, lengths, self._stem_tables)
+        gated = np.flatnonzero(np.isin(heads, self._gated_keys))
+        gated = gated[gated + 1 < len(heads)]
+        keep[gated] |= _starts_with_any(
+            heads[gated + 1], lengths[gated + 1], self._follower_tables
+        )
+        return [
+            (start, folded[start:end])
+            for start, end in zip(starts[keep].tolist(), ends[keep].tolist())
+        ]
+
+    def _confirm(
+        self, text: str, tokens: list[tuple[int, str]]
+    ) -> list[tuple[int, int, str]]:
+        """Mentions in ``text`` as ``(start, end, family)``, confirmed at
+        the candidate ``tokens`` (``(start, folded token)`` pairs in
+        offset order) and listed in that order."""
+        exact_get = self.index.exact.get
+        stems_get = self.index.stems.get
+        stem_lengths = self.index.stem_lengths
+        patterns = self._family_patterns
+        # Per-family resume offset: a family's next match must start at
+        # or after the end of its previous one (finditer semantics).
+        resume = dict.fromkeys(self.families, 0)
+        hits: list[tuple[int, int, str]] = []
+        for start, token in tokens:
+            families = exact_get(token, ())
+            for length in stem_lengths:
+                if length > len(token):
+                    break
+                families += stems_get(token[:length], ())
+            for family in families:
+                if start < resume[family]:
+                    continue
+                hit = patterns[family].match(text, start)
+                if hit is not None:
+                    end = resume[family] = hit.end()
+                    hits.append((start, end, family))
+        return hits
 
     def detect(
         self, text: str, families: tuple[str, ...] | None = None
@@ -328,89 +436,41 @@ class LexiconScanner:
         """Scan ``text`` once; mentions sorted by offset, then family.
 
         Semantically identical to one ``finditer`` pass per family
-        (enforced by tests against that reference), at one tokenizing
-        traversal of ``text`` instead of one full regex pass per family.
+        (enforced by tests against that reference).  A selection of
+        ``families`` filters the scan of all of them, which is exact
+        because families never share a resume offset; an unknown family
+        is a KeyError.
         """
-        selected = tuple(families) if families is not None else self.families
-        self._check_selection(selected)
-        index = self.first_word_index(selected)
-        if index is None:
-            return self._detect_stepping(text, selected)
-        exact, stems, stem_lengths = index.exact, index.stems, index.stem_lengths
-        patterns = self._family_patterns
-        # Per-family resume offset: a family's next match must start at
-        # or after the end of its previous one (finditer semantics).
-        resume = dict.fromkeys(selected, 0)
-        mentions: list[MethodMention] = []
-        exact_get = exact.get
-        stems_get = stems.get
-        min_stem = stem_lengths[0] if stem_lengths else None
-        for token_match in _WORD_RE.finditer(text):
-            token = token_match.group().lower()
-            candidates = exact_get(token)
-            if min_stem is not None and len(token) >= min_stem:
-                for length in stem_lengths:
-                    if length <= len(token):
-                        stem_families = stems_get(token[:length])
-                        if stem_families is not None:
-                            candidates = (
-                                stem_families
-                                if candidates is None
-                                else candidates + stem_families
-                            )
-            if candidates is None:
-                continue
-            start = token_match.start()
-            for family in candidates:
-                if start < resume[family]:
-                    continue
-                hit = patterns[family].match(text, start)
-                if hit is not None:
-                    mentions.append(MethodMention(family, hit.group(), start))
-                    resume[family] = hit.end()
+        hits = self._confirm(text, _word_tokens(fold_case(text)))
+        if families is not None:
+            unknown = [f for f in families if f not in self._family_patterns]
+            if unknown:
+                raise KeyError(f"unknown method families: {unknown}")
+            hits = [hit for hit in hits if hit[2] in families]
+        mentions = [
+            MethodMention(family, text[start:end], start) for start, end, family in hits
+        ]
         mentions.sort(key=lambda m: (m.start, m.family))
         return mentions
 
-    def _detect_stepping(
-        self, text: str, selected: tuple[str, ...]
-    ) -> list[MethodMention]:
-        """Exact fallback scan via the combined named-group alternation.
+    def scan_block(self, block: str, folded: str) -> tuple[np.ndarray, np.ndarray]:
+        """Every mention in ``block`` as ``(start offsets, family
+        indexes into`` :attr:`families` ``)``, in offset order.
 
-        Used when a phrase's first word is not token-indexable.  Visits
-        every position where *any* family matches — the combined
-        pattern's hits, stepped one character past each hit start — and
-        resolves the matching families there with anchored ``match``
-        calls.
+        ``folded`` is :func:`fold_case` of ``block``.  An ASCII block
+        takes its candidates from the numpy prefilter, any other block
+        from its ``\\w+`` tokens; the confirmation is the one
+        :meth:`detect` runs.
         """
-        combined = self._combined_pattern(selected)
-        order = {family: i for i, family in enumerate(selected)}
-        anchored = [(family, self._family_patterns[family]) for family in selected]
-        resume = dict.fromkeys(selected, 0)
-        mentions: list[MethodMention] = []
-        search = combined.search
-        position = 0
-        while (hit := search(text, position)) is not None:
-            start = hit.start()
-            # The alternation matched its first listed family; families
-            # earlier in the selection cannot match at this offset.
-            first = hit.lastgroup
-            if start >= resume[first]:
-                mentions.append(MethodMention(first, hit.group(), start))
-                resume[first] = hit.end()
-            # Later families may also match here, shadowed by the
-            # alternation order — resolve them with anchored matches.
-            for family, pattern in anchored[order[first] + 1:]:
-                anchored_hit = pattern.match(text, start)
-                if anchored_hit is not None and start >= resume[family]:
-                    mentions.append(
-                        MethodMention(family, anchored_hit.group(), start)
-                    )
-                    resume[family] = anchored_hit.end()
-            # Step one character, not to the hit's end: other families'
-            # matches may start inside this one.
-            position = start + 1
-        mentions.sort(key=lambda m: (m.start, m.family))
-        return mentions
+        tokens = (
+            self._prefiltered_tokens(folded) if block.isascii() else _word_tokens(folded)
+        )
+        hits = self._confirm(block, tokens)
+        family_ids = self._family_ids
+        return (
+            np.array([start for start, _, _ in hits], dtype=np.int64),
+            np.array([family_ids[family] for _, _, family in hits], dtype=np.int64),
+        )
 
 
 #: The default scanner over :data:`METHOD_FAMILIES`.
@@ -435,9 +495,9 @@ def classify_text(text: str) -> dict[str, int]:
 
     Families with zero hits are omitted.  This is the per-paper
     definition the corpus scan must reproduce:
-    :mod:`repro.bibliometrics.shardscan` calls it for blocks holding
-    non-ASCII text and matches ASCII blocks in one pass to the same
-    counts.  :func:`classify_paper` is the dataclass wrapper over it.
+    :mod:`repro.bibliometrics.shardscan` matches a whole block of papers
+    with :meth:`LexiconScanner.scan_block` to the same counts.
+    :func:`classify_paper` is the dataclass wrapper over it.
     """
     counts: dict[str, int] = {}
     for mention in detect_methods(text):

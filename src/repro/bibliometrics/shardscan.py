@@ -18,26 +18,23 @@ equivalence oracle — the tests assert that :func:`scan_corpus` + the
 reproduce ``adoption_series`` / ``venue_adoption_table`` verbatim.
 
 Text is classified a block of :data:`BLOCK_PAPERS` papers at a time.
-An ASCII block is joined into one string and scanned by a block
-matcher: numpy finds the tokens that could start a lexicon phrase, the
-family patterns confirm exactly at those sites, and statement markers
-are found with ``str.find``, so only marked papers reach the
-positionality detector.  The detector confirms a marked paper from its
-"Positionality" section when that section shows a facet cue, and runs
-the full extractor only on the papers it cannot confirm (no section,
-a cue-free one, or an inline statement).  A block with any non-ASCII
-text falls back to per-paper
-:func:`~repro.bibliometrics.methods_detect.classify_text` and the same
-detector.  Either way the counts equal those of classifying each paper
+The block's papers are joined into one string and matched in one call
+to :meth:`~repro.bibliometrics.methods_detect.LexiconScanner.scan_block`
+(a numpy token prefilter on an ASCII block, every ``\\w+`` token on any
+other, then the scanner's one exact confirmation), and each hit is
+mapped back to its paper.  Statement-marker anchors are found with
+``str.find``, so only marked papers reach the positionality detector.
+The detector confirms a marked paper from its "Positionality" section
+when that section shows a facet cue, and runs the full extractor only
+on the papers it cannot confirm (no section, a cue-free one, or an
+inline statement).  The counts equal those of classifying each paper
 alone.
 """
 
 from __future__ import annotations
 
 import bisect
-import re
 from collections import Counter
-from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -47,13 +44,10 @@ from repro.bibliometrics.columnar import ColumnarCorpus, ColumnarShard, CorpusVo
 from repro.bibliometrics.methods_detect import (
     DEFAULT_SCANNER,
     HUMAN_METHOD_FAMILIES,
-    LexiconScanner,
-    classify_text,
+    classify_text,  # unused here; benchmarks/e2e/test_e2e_bench.py wraps this import site
+    fold_case,
 )
-from repro.core.positionality import (
-    STATEMENT_MARKERS,
-    has_positionality_statement,
-)
+from repro.core.positionality import MARKER_ANCHORS, has_positionality_statement
 
 __all__ = [
     "AGGREGATES_ARTIFACT_KIND",
@@ -220,7 +214,7 @@ class CorpusAggregates:
         return aggregates
 
 
-#: Papers per block of the block matcher.  Large enough that the numpy
+#: Papers per block of the block scan.  Large enough that the numpy
 #: passes amortise; small enough that a block's transient arrays stay
 #: around a megabyte whatever the shard size.
 BLOCK_PAPERS = 512
@@ -231,167 +225,8 @@ BLOCK_PAPERS = 512
 #: ends of a lone paper's text.
 _SEPARATOR = "\x00"
 
-#: ASCII code -> is a ``\w`` character (the token alphabet).
-_WORD_BYTES = np.array([re.match(r"\w", chr(code)) is not None for code in range(128)])
-
-#: Little-endian bytes a token head holds (see :func:`_head_key`).
-_HEAD_BYTES = 8
-
-
-def _head_key(chunk: str) -> int:
-    """The first :data:`_HEAD_BYTES` bytes of an ASCII chunk as an integer.
-
-    Tokens never contain a zero byte, so for a chunk shorter than the
-    head the zero padding also pins its length: equal keys mean equal
-    strings.  Longer chunks compare by prefix only, which can admit a
-    false candidate but never loses a real one.
-    """
-    return int.from_bytes(chunk[:_HEAD_BYTES].encode("ascii"), "little")
-
-
-def _prefix_tables(chunks) -> list[tuple[int, np.uint64, np.ndarray]]:
-    """``(length, head mask, sorted head keys)`` per distinct chunk length.
-
-    A token *starts with* one of ``chunks`` iff, for some row, it is at
-    least ``length`` long and its masked head is among the keys (up to
-    the head-prefix superset of :func:`_head_key`).
-    """
-    by_length: dict[int, set[int]] = {}
-    for chunk in chunks:
-        by_length.setdefault(len(chunk), set()).add(_head_key(chunk))
-    tables = []
-    for length, keys in sorted(by_length.items()):
-        width = min(length, _HEAD_BYTES)
-        mask = np.uint64((1 << (8 * width)) - 1)
-        tables.append((length, mask, np.array(sorted(keys), dtype=np.uint64)))
-    return tables
-
-
-def _starts_with_any(heads, lengths, tables) -> np.ndarray:
-    """Boolean mask: which tokens start with a chunk of ``tables``."""
-    hit = np.zeros(len(heads), dtype=bool)
-    for length, mask, keys in tables:
-        hit |= (lengths >= length) & np.isin(heads & mask, keys)
-    return hit
-
-
-class _BlockMatcher:
-    """Method-mention counts for a block of ASCII papers in one pass.
-
-    Built from a scanner's first-word index.  Over the lowered block it
-    finds every ``\\w+`` token with a byte lookup table and keeps those
-    the index admits: equal to an exact first chunk (and, when every
-    phrase under that chunk has a second chunk, followed by a token
-    starting with one), or starting with a stem.  That is a superset of
-    the sites where a phrase matches.  At each such site the
-    family's compiled pattern confirms with ``.match(block, start)`` and
-    a per-family resume offset — the call :meth:`LexiconScanner.detect`
-    makes — so the counts are exactly those of per-paper
-    :func:`classify_text`.
-    """
-
-    def __init__(self, scanner: LexiconScanner) -> None:
-        index = scanner.first_word_index()
-        if index is None or not all(map(str.isascii, [
-            *index.exact, *index.stems, *chain(*index.followers.values())
-        ])):
-            # A phrase off token starts has no index, and case-insensitive
-            # matching can meet a non-ASCII chunk in ASCII text (the long
-            # s, "ſ", matches "s").
-            raise ValueError("the block matcher needs an indexable ASCII lexicon")
-        self.index = index
-        self.families = scanner.families
-        self.patterns = [scanner.pattern_for(f) for f in self.families]
-        self.family_ids = {family: i for i, family in enumerate(self.families)}
-        self.human = np.array(
-            [family in HUMAN_METHOD_FAMILIES for family in self.families]
-        )
-        gated = set(index.followers)
-        self.free_keys = np.array(
-            sorted({_head_key(c) for c in index.exact if c not in gated}),
-            dtype=np.uint64,
-        )
-        self.gated_keys = np.array(
-            sorted({_head_key(c) for c in gated}), dtype=np.uint64
-        )
-        self.follower_tables = _prefix_tables(set(chain(*index.followers.values())))
-        self.stem_tables = _prefix_tables(index.stems)
-
-    def _candidate_tokens(self, lowered: str) -> tuple[np.ndarray, np.ndarray]:
-        """Starts and ends of the tokens the first-word index admits."""
-        codes = np.frombuffer(lowered.encode("ascii"), dtype=np.uint8)
-        edges = np.diff(_WORD_BYTES[codes].view(np.int8), prepend=0, append=0)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        lengths = ends - starts
-        padded = np.zeros(len(codes) + _HEAD_BYTES, dtype=np.uint8)
-        padded[: len(codes)] = codes
-        windows = np.lib.stride_tricks.sliding_window_view(padded, _HEAD_BYTES)[starts]
-        windows[np.arange(_HEAD_BYTES) >= lengths[:, None]] = 0
-        heads = windows.view("<u8").ravel()
-
-        keep = np.isin(heads, self.free_keys)
-        keep |= _starts_with_any(heads, lengths, self.stem_tables)
-        gated = np.flatnonzero(np.isin(heads, self.gated_keys))
-        gated = gated[gated + 1 < len(heads)]
-        keep[gated] |= _starts_with_any(
-            heads[gated + 1], lengths[gated + 1], self.follower_tables
-        )
-        return starts[keep], ends[keep]
-
-    def _hits(self, block: str, lowered: str) -> tuple[np.ndarray, np.ndarray]:
-        """Confirmed mentions as ``(start offsets, family ids)``, in order."""
-        exact_get = self.index.exact.get
-        stems_get = self.index.stems.get
-        stem_lengths = self.index.stem_lengths
-        family_ids = self.family_ids
-        patterns = self.patterns
-        resume = [0] * len(self.families)
-        hit_starts: list[int] = []
-        hit_families: list[int] = []
-        starts, ends = self._candidate_tokens(lowered)
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            token = lowered[start:end]
-            families = exact_get(token, ())
-            for length in stem_lengths:
-                if length > end - start:
-                    break
-                families += stems_get(token[:length], ())
-            for family in families:
-                fid = family_ids[family]
-                if start < resume[fid]:
-                    continue
-                hit = patterns[fid].match(block, start)
-                if hit is not None:
-                    hit_starts.append(start)
-                    hit_families.append(fid)
-                    resume[fid] = hit.end()
-        return (
-            np.array(hit_starts, dtype=np.int64),
-            np.array(hit_families, dtype=np.int64),
-        )
-
-    def classify(
-        self, block: str, lowered: str, paper_starts: np.ndarray
-    ) -> tuple[list[tuple[str, int]], np.ndarray]:
-        """``(family_counts, human_mentions)`` as :func:`_classify_block`
-        returns them, for papers starting at ``paper_starts`` in ``block``."""
-        hit_starts, hit_families = self._hits(block, lowered)
-        hit_papers = np.searchsorted(paper_starts, hit_starts, side="right") - 1
-        human = np.bincount(
-            hit_papers[self.human[hit_families]], minlength=len(paper_starts) - 1
-        )
-        totals = np.bincount(hit_families, minlength=len(self.families))
-        first = np.full(len(self.families), len(block))
-        np.minimum.at(first, hit_families, hit_starts)
-        order = sorted(
-            np.flatnonzero(totals).tolist(),
-            key=lambda fid: (first[fid], self.families[fid]),
-        )
-        return [(self.families[fid], int(totals[fid])) for fid in order], human
-
-
-_MATCHER = _BlockMatcher(DEFAULT_SCANNER)
+#: Per family of the default scanner: is it a human-centered method.
+_HUMAN = np.array([family in HUMAN_METHOD_FAMILIES for family in DEFAULT_SCANNER.families])
 
 
 def _classify_block(
@@ -403,43 +238,43 @@ def _classify_block(
     per-family mention totals in the order per-paper classification
     would first meet each family, each paper's human-family mention
     count, and whether each paper carries a positionality statement.
-    An ASCII block goes through the block matcher; any other block
-    through per-paper :func:`classify_text`, because lowercasing and the
-    ASCII token table are only exact on ASCII text.  On either path a
-    paper without a statement marker is rejected on the marker alone,
-    and :func:`has_positionality_statement` decides a marked one from
-    its "Positionality" section where it can; the full extractor runs
-    on the rest.
+    A paper without a marker anchor is rejected on that alone, and
+    :func:`has_positionality_statement` decides a marked one from its
+    "Positionality" section where it can; the full extractor runs on
+    the rest.
     """
     n = len(texts)
-    detected = np.zeros(n, dtype=bool)
     block = _SEPARATOR.join(texts)
-    if not block.isascii():
-        family_counts: Counter = Counter()
-        human = np.zeros(n, dtype=np.int64)
-        for local, text in enumerate(texts):
-            for family, count in classify_text(text).items():
-                family_counts[family] += count
-                if family in HUMAN_METHOD_FAMILIES:
-                    human[local] += count
-            detected[local] = has_positionality_statement(text)
-        return list(family_counts.items()), human, detected
-
-    lowered = block.lower()
+    # Folding keeps offsets, so the paper starts hold for ``folded`` too.
+    folded = fold_case(block)
     paper_starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum([len(text) + 1 for text in texts], out=paper_starts[1:])
-    family_counts, human = _MATCHER.classify(block, lowered, paper_starts)
+    hit_starts, hit_families = DEFAULT_SCANNER.scan_block(block, folded)
 
-    # A statement needs a marker first; only marked papers pay for the
-    # detector.  After a hit the marker search resumes at the next paper.
+    families = DEFAULT_SCANNER.families
+    hit_papers = np.searchsorted(paper_starts, hit_starts, side="right") - 1
+    human = np.bincount(hit_papers[_HUMAN[hit_families]], minlength=n)
+    totals = np.bincount(hit_families, minlength=len(families))
+    first = np.full(len(families), len(block))
+    np.minimum.at(first, hit_families, hit_starts)
+    order = sorted(
+        np.flatnonzero(totals).tolist(), key=lambda fid: (first[fid], families[fid])
+    )
+    family_counts = [(families[fid], int(totals[fid])) for fid in order]
+
+    # A statement needs a marker first; only papers showing a marker's
+    # anchor pay for the detector.  Every anchor the detector's lowered
+    # text shows, ``folded`` shows too.  After a hit the anchor search
+    # resumes at the next paper.
+    detected = np.zeros(n, dtype=bool)
     bounds = paper_starts.tolist()
     marked = set()
-    for marker in STATEMENT_MARKERS:
-        at = lowered.find(marker)
+    for anchor in MARKER_ANCHORS:
+        at = folded.find(anchor)
         while at != -1:
             local = bisect.bisect_right(bounds, at) - 1
             marked.add(local)
-            at = lowered.find(marker, bounds[local + 1])
+            at = folded.find(anchor, bounds[local + 1])
     for local in marked:
         detected[local] = has_positionality_statement(texts[local])
     return family_counts, human, detected

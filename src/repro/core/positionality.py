@@ -56,22 +56,24 @@ _FACET_CUES: dict[str, tuple[str, ...]] = {
     ),
 }
 
-#: Every facet cue as one pattern, each space matching any whitespace
-#: run: over a lowered text it finds exactly the cues that
-#: :func:`_facets_in_text` finds in that text's normalized sentences.
-_CUE_RE = re.compile(
-    "|".join(
-        r"\s+".join(map(re.escape, cue.split(" ")))
-        for cues in _FACET_CUES.values()
-        for cue in cues
+
+def _any_phrase(phrases) -> re.Pattern:
+    """One pattern for ``phrases``, each space matching any whitespace run."""
+    return re.compile(
+        "|".join(r"\s+".join(map(re.escape, phrase.split(" "))) for phrase in phrases)
     )
-)
+
+
+#: Every facet cue as one pattern: over a lowered text it finds exactly
+#: the cues that :func:`_facets_in_text` finds in that text's normalized
+#: sentences.
+_CUE_RE = _any_phrase(cue for cues in _FACET_CUES.values() for cue in cues)
 
 #: Marker phrases :func:`has_positionality_statement` requires before
-#: anything else; exported so bulk scanners (the columnar shard scan)
-#: can prefilter candidate papers cheaply.  A marked paper is then
-#: decided from its "Positionality" section when that section shows a
-#: facet cue, and by the full :func:`extract_statements` otherwise.
+#: anything else, each space matching any whitespace run.  A marked
+#: paper is then decided from its "Positionality" section when that
+#: section shows a facet cue, and by the full :func:`extract_statements`
+#: otherwise.
 STATEMENT_MARKERS = (
     "positionality",
     "we situate ourselves",
@@ -79,6 +81,16 @@ STATEMENT_MARKERS = (
     "our situated knowledge",
     "reflexivity statement",
 )
+
+#: Whitespace-free words one of which every marker contains, so bulk
+#: scanners (the columnar shard scan) can prefilter candidate papers
+#: with ``str.find`` on lowered text.
+MARKER_ANCHORS = ("positionality", "situate", "reflexivity")
+
+#: Every marker as one pattern: over a lowered text it finds exactly the
+#: markers :func:`extract_statements` finds in that text's normalized
+#: sentences.
+_MARKER_RE = _any_phrase(STATEMENT_MARKERS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,7 +237,9 @@ def has_positionality_statement(paper_text: str) -> bool:
     """True when the text carries a recognizable positionality statement.
 
     Requires a marker *and* at least one parsed facet, so a paper that
-    merely cites positionality literature does not count.
+    merely cites positionality literature does not count.  A marker may
+    have any whitespace run between its words ("We   situate
+    ourselves"), as in the extractor's normalized sentences.
 
     Equal to ``any(s.disclosed_facets() for s in
     extract_statements(paper_text))`` after the marker check, but a
@@ -237,8 +251,7 @@ def has_positionality_statement(paper_text: str) -> bool:
     sentences end only at whitespace after ``.!?``, which no cue
     contains.  Every other marked paper runs the full extractor.
     """
-    lowered = paper_text.lower()
-    if not any(marker in lowered for marker in STATEMENT_MARKERS):
+    if _MARKER_RE.search(paper_text.lower()) is None:
         return False
     body = _positionality_section_body(paper_text)
     if body and _CUE_RE.search(body.lower()):

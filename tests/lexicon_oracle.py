@@ -1,10 +1,10 @@
 """Reference lexicon matcher: one ``finditer`` pass per method family.
 
 The semantic oracle for :class:`repro.bibliometrics.methods_detect.
-LexiconScanner`: the single-pass scanner (and the block matcher in
-``shardscan`` built on its first-word index) must find exactly these
-mentions.  The equivalence tests and ``benchmarks/bench_primitives.py``
-compare against it.
+LexiconScanner`, the one matcher behind ``detect`` on a single text and
+``scan_block`` on a corpus block: it must find exactly these mentions.
+The equivalence tests and ``benchmarks/bench_primitives.py`` compare
+against it.
 """
 
 from __future__ import annotations

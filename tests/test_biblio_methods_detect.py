@@ -3,22 +3,30 @@
 The single-pass :class:`LexiconScanner` must be *exactly* equivalent to
 the per-family ``finditer`` reference (``tests.lexicon_oracle``): same
 mentions, same surfaces, same offsets — including on adversarial
-lexicons with cross-family shared prefixes, overlapping matches, stem
-collisions, and non-indexable phrases that force the fallback path.
+lexicons with cross-family shared prefixes, overlapping matches and stem
+collisions, and on text whose case mapping is not ASCII's.
 """
 
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bibliometrics.corpus import Paper, Venue, Corpus
 from repro.bibliometrics.methods_detect import (
+    DEFAULT_SCANNER,
     HUMAN_METHOD_FAMILIES,
     METHOD_FAMILIES,
     LexiconScanner,
     classify_paper,
     detect_methods,
+    fold_case,
     uses_human_methods,
 )
 from tests.lexicon_oracle import detect_multipass
+from tests.test_biblio_shardscan import NON_ASCII, phrase_forms
 
 
 def make_paper(abstract, body=""):
@@ -89,9 +97,9 @@ EQUIVALENCE_CASES = [
      "ethnography of networks ethnographic ETHNOGRAPHY"),
     # one family's phrase starts inside another family's match
     ({"long": ("a b c d",), "short": ("b c",)}, "a b c d b c a b c d"),
-    # non-word leading character: forces the exact fallback scan
-    ({"u": ("-dash start",), "v": ("plain words",)},
-     "a -dash start and plain words here -dash start"),
+    # letters whose case mapping is not ASCII's, which IGNORECASE matches
+    ({"s": ("survey of", "kin*"), "i": ("in-depth",)},
+     "\u017furvey of \u212aINSHIP \u0130n-depth \u0131N-DEPTH survey\nof"),
     # empty text and no-hit text
     ({"a": ("anything",)}, ""),
     ({"a": ("anything",)}, "nothing here matches at all"),
@@ -140,6 +148,19 @@ class TestSinglePassEquivalence:
             text = paper.full_text
             assert scanner.detect(text) == detect_multipass(scanner, text)
 
+    @pytest.mark.parametrize("texts", [
+        ["we interviewed staff", "a focus group", "CASE STUDIES of\nrouters"],
+        ["caf\u00e9 we interviewed", "na\u00efve focus group", "\u03a3 \u017furvey of"],
+    ])
+    def test_scan_block_equals_detect(self, texts):
+        # An ASCII block takes the numpy prefilter, any other the
+        # regex tokens; both must find what detect finds.
+        block = "\x00".join(texts)
+        starts, family_ids = DEFAULT_SCANNER.scan_block(block, fold_case(block))
+        found = sorted(zip(starts.tolist(), (DEFAULT_SCANNER.families[i] for i in family_ids)))
+        assert found == [(m.start, m.family) for m in DEFAULT_SCANNER.detect(block)]
+        assert len(found) == 3
+
     def test_detect_methods_uses_the_default_scanner(self):
         text = "A focus group met; fieldwork followed."
         scanner = LexiconScanner(METHOD_FAMILIES)
@@ -148,22 +169,81 @@ class TestSinglePassEquivalence:
 
 class TestFirstWordIndex:
     def test_followers_only_where_every_phrase_continues(self):
-        scanner = LexiconScanner({
+        index = LexiconScanner({
             "a": ("we measure*", "We interviewed"),
             "b": ("in-depth interview*", "in"),
             "c": ("ethnograph*", "case study"),
-        })
-        index = scanner.first_word_index()
+        }).index
         assert index.exact == {"we": ("a",), "in": ("b",), "case": ("c",)}
         assert index.stems == {"ethnograph": ("c",)}
         assert index.stem_lengths == (10,)
         assert index.followers == {"we": ("interviewed", "measure"), "case": ("study",)}
-        assert scanner.first_word_index() is index
 
     def test_phrase_off_token_start_is_not_indexable(self):
-        scanner = LexiconScanner({"u": ("-dash start",), "v": ("plain",)})
-        assert scanner.first_word_index() is None
-        assert scanner.first_word_index(("v",)).exact == {"plain": ("v",)}
+        for phrase in ("-dash start", " *wild", ""):
+            with pytest.raises(ValueError):
+                LexiconScanner({"u": (phrase,), "v": ("plain",)})
+
+    def test_non_ascii_phrase_is_rejected(self):
+        # A non-ASCII phrase word can match text that no folded token
+        # equals (IGNORECASE matches "\u017f" to "s").
+        with pytest.raises(ValueError):
+            LexiconScanner({"u": ("na\u00efve design",), "v": ("plain",)})
+
+
+#: Rewrites into the non-ASCII letters IGNORECASE matches to ASCII ones:
+#: "ſ", "ı" and "İ", which ``str.lower`` leaves non-ASCII, and the Kelvin
+#: sign, which it lowers to "k".
+CASE_REWRITES = (
+    str,
+    lambda text: text.replace("s", "\u017f"),
+    lambda text: text.replace("i", "\u0131"),
+    lambda text: text.replace("I", "\u0130").replace("i", "\u0130"),
+    lambda text: text.replace("k", "\u212a"),
+)
+
+
+@st.composite
+def lexicon_texts(draw):
+    """Phrase forms, non-ASCII words and filler, joined by varied gaps."""
+    parts = draw(st.lists(
+        st.one_of(
+            phrase_forms(),
+            st.sampled_from(NON_ASCII),
+            st.sampled_from(("the", "we", "in", "case", "x", "_", "9", "co-", "-")),
+        ),
+        max_size=10,
+    ))
+    seps = [draw(st.sampled_from((" ", "", "\n", ". ", "-", "\x00"))) for _ in parts]
+    text = "".join(part + sep for part, sep in zip(parts, seps))
+    return draw(st.sampled_from(CASE_REWRITES))(text)
+
+
+class TestDetectProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(text=lexicon_texts(), selection=st.sets(st.sampled_from(sorted(METHOD_FAMILIES))))
+    def test_detect_equals_multipass_and_selections_filter(self, text, selection):
+        mentions = DEFAULT_SCANNER.detect(text)
+        assert mentions == detect_multipass(DEFAULT_SCANNER, text)
+        assert DEFAULT_SCANNER.detect(text, tuple(selection)) == [
+            m for m in mentions if m.family in selection
+        ]
+
+    def test_fold_case_is_the_patterns_case_map(self):
+        # Over every code point: one character for one, the same word
+        # characters, and an ASCII letter exactly where IGNORECASE
+        # matches one, that letter.
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        folded = fold_case(chars)
+        assert len(folded) == len(chars)
+        assert [m.span() for m in re.finditer(r"\w+", folded)] == [
+            m.span() for m in re.finditer(r"\w+", chars)
+        ]
+        letters = list(re.finditer("[a-z]", chars, re.IGNORECASE))
+        assert [m.start() for m in re.finditer("[a-z]", folded)] == [
+            m.start() for m in letters
+        ]
+        assert all(re.fullmatch(folded[m.start()], m.group(), re.IGNORECASE) for m in letters)
 
 
 class TestClassify:

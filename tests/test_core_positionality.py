@@ -130,6 +130,25 @@ class TestHasStatement:
         text = "1 Introduction\nIntro text.\n\nPositionality\n" + FULL.render()
         assert has_positionality_statement(text)
 
+    @pytest.mark.parametrize("marker", [
+        "We   situate ourselves", "We situate\nourselves", "we\tsituate  ourselves",
+        "The authors situate\r\nthemselves", "Our situated\u00a0knowledge",
+    ])
+    def test_marker_with_whitespace_run_counts(self, marker):
+        # The extractor finds these statements in normalized sentences;
+        # a literal marker check missed them.
+        text = (
+            f"Intro text here.\n\n{marker} as members of the community we "
+            "study. We are operators based in the Global South."
+        )
+        assert has_positionality_statement(text)
+
+    def test_every_marker_contains_an_anchor(self):
+        for marker in positionality.STATEMENT_MARKERS:
+            assert any(anchor in marker for anchor in positionality.MARKER_ANCHORS)
+            assert not any(char.isspace() for anchor in positionality.MARKER_ANCHORS
+                           for char in anchor)
+
 
 class TestSectionConfirmation:
     """Marked papers with a cue in their Positionality section skip the
@@ -193,7 +212,8 @@ NOT_HEADERS = (
 )
 
 #: Body lines: facet cues, cue-free prose, inline markers, and cues
-#: broken by line breaks, whitespace runs or no-break spaces.
+#: and markers broken by line breaks, whitespace runs or no-break
+#: spaces.
 BODY_LINES = (
     "", "We write as network engineers.", "We are situated in the Global South.",
     "We measure BGP tables.", "Interviews were conducted.",
@@ -204,6 +224,9 @@ BODY_LINES = (
     "we", "are", "Global", "South.", "we   are committed", "funded\tby a grant",
     "We \u00a0hold a feminist view.", "\u201cWe are\u201d operators.",
     "Reflexivity statement follows.", "e.g. we are", "ties", "to rural ISPs",
+    # Markers with a whitespace run or a line break between their words.
+    "We   situate ourselves as operators.", "The authors situate\nthemselves as",
+    "our situated\u00a0knowledge", "Reflexivity\r\nstatement:", "we situate\n\nourselves",
     # Longer than the extractor's 500-character inline window.
     "filler " * 80,
 )
