@@ -215,7 +215,7 @@ def _run_corpus_scan(repeats: int) -> list[dict]:
     corpus = generate_columnar_corpus(config)
 
     def scan() -> None:
-        aggregates = scan_corpus(corpus)
+        aggregates = scan_corpus(corpus, workers=1)
         assert aggregates.n_papers == _SCAN_PAPERS
 
     seconds = _time_min(scan, repeats)
@@ -224,7 +224,7 @@ def _run_corpus_scan(repeats: int) -> list[dict]:
         metric="papers_per_second", unit="papers/second", better="higher",
         context={"repeats": repeats, "papers": _SCAN_PAPERS,
                  "shards": corpus.n_shards, "matcher": "block",
-                 "positionality": "section",
+                 "positionality": "section", "workers": 1,
                  "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]
 
@@ -246,7 +246,7 @@ def _run_experiment_scan(repeats: int) -> list[dict]:
     papers = len(corpus)
 
     def scan() -> None:
-        aggregates = scan_corpus(corpus)
+        aggregates = scan_corpus(corpus, workers=1)
         assert aggregates.n_papers == papers
 
     seconds = _time_min(scan, repeats)
@@ -255,7 +255,7 @@ def _run_experiment_scan(repeats: int) -> list[dict]:
         metric="papers_per_second", unit="papers/second", better="higher",
         context={"repeats": repeats, "papers": papers, "corpus": "shardgen",
                  "shards": corpus.n_shards, "preset": "fast", "matcher": "block",
-                 "positionality": "section",
+                 "positionality": "section", "workers": 1,
                  "best_seconds": seconds, "cpu_count": os.cpu_count()},
     )]
 

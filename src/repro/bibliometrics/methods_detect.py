@@ -284,11 +284,16 @@ def _word_tokens(folded: str) -> list[tuple[int, str]]:
     return [(match.start(), match.group()) for match in _WORD_RE.finditer(folded)]
 
 
-#: ASCII code -> is a ``\\w`` character (the token alphabet).
-_WORD_BYTES = np.array([re.match(r"\w", chr(code)) is not None for code in range(128)])
+#: ``bytes.translate`` table: an ASCII ``\\w`` byte to 1, any other to 0.
+_WORD_MASK = bytes(re.match(r"\w", chr(code)) is not None for code in range(128)) + bytes(128)
 
 #: Little-endian bytes a token head holds (see :func:`_head_key`).
 _HEAD_BYTES = 8
+
+#: Token length -> the mask keeping that many head bytes (capped at 8).
+_LENGTH_MASKS = np.array(
+    [(1 << (8 * width)) - 1 for width in range(_HEAD_BYTES + 1)], dtype=np.uint64
+)
 
 
 def _head_key(chunk: str) -> int:
@@ -302,30 +307,45 @@ def _head_key(chunk: str) -> int:
     return int.from_bytes(chunk[:_HEAD_BYTES].encode("ascii"), "little")
 
 
-def _prefix_tables(chunks) -> list[tuple[int, np.uint64, np.ndarray]]:
-    """``(length, head mask, sorted head keys)`` per distinct chunk length.
+def _head_tables(entries) -> list[tuple[np.uint64, np.ndarray, np.ndarray, np.ndarray]]:
+    """Head tables over ``(width, chunk, gated)`` entries, one per width:
+    ``(head mask, sorted keys, minimum token length per key, gated per
+    key)``.
 
-    A token *starts with* one of ``chunks`` iff, for some row, it is at
-    least ``length`` long and its masked head is among the keys (up to
-    the head-prefix superset of :func:`_head_key`).
+    A token is found in a table when its head, masked to the width,
+    equals a key and it is at least as long as that key's shortest
+    chunk; the key is gated when every chunk under it is.
     """
-    by_length: dict[int, set[int]] = {}
-    for chunk in chunks:
-        by_length.setdefault(len(chunk), set()).add(_head_key(chunk))
+    by_width: dict[int, dict[int, list]] = {}
+    for width, chunk, gated in entries:
+        key = _head_key(chunk) & int(_LENGTH_MASKS[width])
+        row = by_width.setdefault(width, {}).setdefault(key, [len(chunk), gated])
+        row[0] = min(row[0], len(chunk))
+        row[1] = row[1] and gated
     tables = []
-    for length, keys in sorted(by_length.items()):
-        width = min(length, _HEAD_BYTES)
-        mask = np.uint64((1 << (8 * width)) - 1)
-        tables.append((length, mask, np.array(sorted(keys), dtype=np.uint64)))
+    for width, rows in sorted(by_width.items()):
+        keys = sorted(rows)
+        tables.append((
+            _LENGTH_MASKS[width],
+            np.array(keys, dtype=np.uint64),
+            np.array([rows[key][0] for key in keys], dtype=np.int64),
+            np.array([rows[key][1] for key in keys], dtype=bool),
+        ))
     return tables
 
 
-def _starts_with_any(heads, lengths, tables) -> np.ndarray:
-    """Boolean mask: which tokens start with a chunk of ``tables``."""
-    hit = np.zeros(len(heads), dtype=bool)
-    for length, mask, keys in tables:
-        hit |= (lengths >= length) & np.isin(heads & mask, keys)
-    return hit
+def _look_up(heads, lengths, tables) -> tuple[np.ndarray, np.ndarray]:
+    """``(free, gated)`` masks: which tokens some table finds under an
+    ungated key, and which it finds only under gated ones."""
+    free = np.zeros(len(heads), dtype=bool)
+    gated = np.zeros(len(heads), dtype=bool)
+    for mask, keys, min_lengths, gates in tables:
+        masked = heads & mask
+        at = np.minimum(np.searchsorted(keys, masked), len(keys) - 1)
+        found = (keys[at] == masked) & (lengths >= min_lengths[at])
+        free |= found & ~gates[at]
+        gated |= found & gates[at]
+    return free, gated & ~free
 
 
 class LexiconScanner:
@@ -357,16 +377,18 @@ class LexiconScanner:
         }
         self._family_ids = {family: i for i, family in enumerate(self.families)}
         self.index = index = FirstWordIndex.of(families)
-        gated = set(index.followers)
-        self._free_keys = np.array(
-            sorted({_head_key(c) for c in index.exact if c not in gated}),
-            dtype=np.uint64,
+        # Exact first chunks go in at full head width (the zero padding
+        # of a short chunk pins the token's length); stems at their own
+        # width, capped at the head.
+        self._first_tables = _head_tables(
+            [(_HEAD_BYTES, chunk, chunk in index.followers) for chunk in index.exact]
+            + [(min(len(stem), _HEAD_BYTES), stem, False) for stem in index.stems]
         )
-        self._gated_keys = np.array(sorted({_head_key(c) for c in gated}), dtype=np.uint64)
-        self._follower_tables = _prefix_tables(
-            {c for seconds in index.followers.values() for c in seconds}
+        self._follower_tables = _head_tables(
+            (min(len(second), _HEAD_BYTES), second, False)
+            for seconds in index.followers.values()
+            for second in seconds
         )
-        self._stem_tables = _prefix_tables(index.stems)
 
     def pattern_for(self, family: str) -> re.Pattern:
         """The compiled single-family pattern (KeyError when unknown)."""
@@ -378,24 +400,24 @@ class LexiconScanner:
         phrase under that chunk has a second chunk, followed by a token
         starting with one), or starting with a stem.  A superset of the
         sites where a phrase matches, found with numpy."""
-        codes = np.frombuffer(folded.encode("ascii"), dtype=np.uint8)
-        edges = np.diff(_WORD_BYTES[codes].view(np.int8), prepend=0, append=0)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
+        raw = folded.encode("ascii")
+        flags = np.frombuffer(b"\0" + raw.translate(_WORD_MASK) + b"\0", dtype=np.int8)
+        bounds = np.flatnonzero(flags[1:] != flags[:-1])
+        starts, ends = bounds[0::2], bounds[1::2]
         lengths = ends - starts
-        padded = np.zeros(len(codes) + _HEAD_BYTES, dtype=np.uint8)
-        padded[: len(codes)] = codes
-        windows = np.lib.stride_tricks.sliding_window_view(padded, _HEAD_BYTES)[starts]
-        windows[np.arange(_HEAD_BYTES) >= lengths[:, None]] = 0
-        heads = windows.view("<u8").ravel()
-
-        keep = np.isin(heads, self._free_keys)
-        keep |= _starts_with_any(heads, lengths, self._stem_tables)
-        gated = np.flatnonzero(np.isin(heads, self._gated_keys))
-        gated = gated[gated + 1 < len(heads)]
-        keep[gated] |= _starts_with_any(
-            heads[gated + 1], lengths[gated + 1], self._follower_tables
+        # Every offset's next 8 bytes as one unaligned little-endian
+        # word; a token's head is its start's word cut to its length.
+        words = np.ndarray(
+            (len(raw),), dtype="<u8", buffer=raw + bytes(_HEAD_BYTES), strides=(1,)
         )
+        heads = words[starts] & _LENGTH_MASKS[np.minimum(lengths, _HEAD_BYTES)]
+
+        keep, gated = _look_up(heads, lengths, self._first_tables)
+        # A gated token is kept when the token after it starts with a
+        # second chunk.
+        gated = np.flatnonzero(gated)
+        gated = gated[gated + 1 < len(heads)]
+        keep[gated] = _look_up(heads[gated + 1], lengths[gated + 1], self._follower_tables)[0]
         return [
             (start, folded[start:end])
             for start, end in zip(starts[keep].tolist(), ends[keep].tolist())

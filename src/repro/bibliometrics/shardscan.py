@@ -10,9 +10,11 @@ in-tree ``MetricsRegistry.merge`` pattern:
 
     ``scan(A ∪ B) == scan(A).merge(scan(B))``  (order-insensitive)
 
-One shard is resident at a time (the scan drives
-:meth:`ColumnarCorpus.iter_shards`, so streaming corpora stay
-streamed), and the classic dataclass pipeline remains in place as the
+:func:`scan_corpus` scans one shard per task over the
+:class:`~repro.runtime.supervisor.WorkerSupervisor` pool (forked, so
+workers reach the corpus without pickling it) and folds the parts in
+shard order; one shard is resident per process, so streaming corpora
+stay streamed.  The classic dataclass pipeline remains in place as the
 equivalence oracle — the tests assert that :func:`scan_corpus` + the
 ``*_from_counts`` helpers in :mod:`repro.bibliometrics.trends`
 reproduce ``adoption_series`` / ``venue_adoption_table`` verbatim.
@@ -34,9 +36,11 @@ alone.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from repro.core.positionality import MARKER_ANCHORS, has_positionality_statement
 __all__ = [
     "AGGREGATES_ARTIFACT_KIND",
     "AGGREGATES_SCHEMA_VERSION",
+    "FAULT_SITE",
     "CorpusAggregates",
     "scan_corpus",
     "scan_shard",
@@ -69,18 +74,6 @@ AGGREGATES_SCHEMA_VERSION = 1
 _CELL_FIELDS = ("venue_year", "positionality")
 _KEYED_FIELDS = ("venue_topics", "sector_slots")
 _COUNTER_FIELDS = ("family_mentions", "topic_papers", "author_papers", "citations")
-
-
-def _merge_counter_maps(ours: dict, theirs: dict) -> dict:
-    """Key-wise ``Counter`` addition of two ``key -> Counter`` maps."""
-    merged = {key: Counter(value) for key, value in ours.items()}
-    for key, value in theirs.items():
-        bucket = merged.get(key)
-        if bucket is None:
-            merged[key] = Counter(value)
-        else:
-            bucket.update(value)
-    return merged
 
 
 @dataclass
@@ -132,33 +125,37 @@ class CorpusAggregates:
     author_papers: Counter = field(default_factory=Counter)
     citations: Counter = field(default_factory=Counter)
 
+    def update(self, other: "CorpusAggregates") -> "CorpusAggregates":
+        """Add ``other`` into this summary in place; returns ``self``.
+
+        Every count is positive, so keys keep the order ``Counter``
+        addition would give them: this summary's first, then the new
+        ones of ``other`` in its order.  ``other`` is never aliased.
+        """
+        self.n_papers += other.n_papers
+        for name in _CELL_FIELDS + _KEYED_FIELDS:
+            ours = getattr(self, name)
+            for key, counts in getattr(other, name).items():
+                bucket = ours.get(key)
+                if bucket is None:
+                    ours[key] = Counter(counts)
+                else:
+                    bucket.update(counts)
+        for name in _COUNTER_FIELDS:
+            getattr(self, name).update(getattr(other, name))
+        self.venue_kinds.update(other.venue_kinds)
+        return self
+
     def merge(self, other: "CorpusAggregates") -> "CorpusAggregates":
         """The associative (and commutative) combination of two scans."""
-        return CorpusAggregates(
-            n_papers=self.n_papers + other.n_papers,
-            venue_year=_merge_counter_maps(self.venue_year, other.venue_year),
-            family_mentions=self.family_mentions + other.family_mentions,
-            topic_papers=self.topic_papers + other.topic_papers,
-            venue_kinds={**self.venue_kinds, **other.venue_kinds},
-            positionality=_merge_counter_maps(
-                self.positionality, other.positionality
-            ),
-            venue_topics=_merge_counter_maps(
-                self.venue_topics, other.venue_topics
-            ),
-            sector_slots=_merge_counter_maps(
-                self.sector_slots, other.sector_slots
-            ),
-            author_papers=self.author_papers + other.author_papers,
-            citations=self.citations + other.citations,
-        )
+        return CorpusAggregates().update(self).update(other)
 
     @classmethod
     def merge_all(cls, parts: Iterable["CorpusAggregates"]) -> "CorpusAggregates":
-        """Fold :meth:`merge` over ``parts`` (empty input -> empty summary)."""
+        """Fold :meth:`update` over ``parts`` (empty input -> empty summary)."""
         merged = cls()
         for part in parts:
-            merged = merged.merge(part)
+            merged.update(part)
         return merged
 
     def to_records(self) -> list[dict]:
@@ -410,18 +407,143 @@ def scan_shard(
     return aggregates
 
 
+#: Fault-injection site every shard scan consults (see :func:`scan_corpus`).
+FAULT_SITE = "shardscan:shard"
+
+#: ``(corpus, min_mentions)`` of the pool scan in progress, set around
+#: its one supervisor run.  The pool's workers are forked there and
+#: reach the corpus through this slot, so a task carries only a shard
+#: index.  Only the main thread runs a pool, so one scan owns it.
+_pool_scan: tuple[ColumnarCorpus, int] | None = None
+
+
+def _scan_one(
+    corpus: ColumnarCorpus, min_mentions: int, index: int, injector
+) -> CorpusAggregates:
+    """Scan shard ``index`` after consulting ``injector`` (a
+    :class:`~repro.runtime.faultinject.FaultInjector` or None) at the
+    ``shardscan:shard`` fault site."""
+    if injector is not None:
+        injector.check(FAULT_SITE)
+    return scan_shard(corpus.shard(index), corpus.vocab, min_mentions)
+
+
+def _scan_task(task: dict) -> CorpusAggregates:
+    """Supervisor entry point, run in a forked pool worker: scan the
+    task's shard of the pool scan's corpus.
+
+    The worker's ambient injector is the parent's as forked; it is
+    rebuilt with the task's prior worker crashes credited against
+    ``kill`` budgets (as for ``shardgen:shard``), so "crash once, then
+    succeed" survives the requeue.
+    """
+    from repro.runtime.faultinject import FaultInjector, current_fault_injector
+
+    injector = current_fault_injector()
+    if injector is not None:
+        injector = FaultInjector.from_task(
+            injector.to_task(), task.get("worker_crashes", 0)
+        )
+    corpus, min_mentions = _pool_scan
+    return _scan_one(corpus, min_mentions, task["shard"], injector)
+
+
+def _scan_width(corpus: ColumnarCorpus, workers: int | None) -> int:
+    """Pool width for a scan: 1 wherever forking a pool is not safe.
+
+    That is inside a pool worker (pools never nest), off the main
+    thread (forking a threaded process can deadlock the child), and on
+    a platform without ``fork``.
+    """
+    import multiprocessing
+    import threading
+
+    from repro.runtime.faultinject import in_worker_process
+
+    if workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:  # pragma: no cover - platforms without CPU affinity
+            workers = os.cpu_count() or 1
+    if (
+        in_worker_process()
+        or threading.current_thread() is not threading.main_thread()
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return max(1, min(workers, corpus.n_shards))
+
+
+def _scanned_parts(
+    corpus: ColumnarCorpus, min_mentions: int, width: int
+) -> Iterator[tuple[int, CorpusAggregates]]:
+    """``(shard index, part)`` of every shard, in the order they finish:
+    in-process at width 1, else one task per shard under a
+    :class:`~repro.runtime.supervisor.WorkerSupervisor`.  In-process
+    scans consult the caller's ambient fault injector itself, so its
+    budgets, random stream and stats carry across shards.  A shard whose
+    task is quarantined is scanned in-process, where ``kill`` faults do
+    not fire."""
+    global _pool_scan
+    from repro.runtime.faultinject import current_fault_injector
+
+    injector = current_fault_injector()
+    if width == 1:
+        for index in range(corpus.n_shards):
+            yield index, _scan_one(corpus, min_mentions, index, injector)
+        return
+    from repro.errors import WorkerCrashError
+    from repro.runtime.supervisor import WorkerSupervisor
+
+    _pool_scan = (corpus, min_mentions)
+    try:
+        outcomes = WorkerSupervisor(workers=width).run(
+            _scan_task,
+            [(index, {"shard": index}, {"shard": index}) for index in range(corpus.n_shards)],
+        )
+        with contextlib.closing(outcomes):
+            for index, part, error in outcomes:
+                if isinstance(error, WorkerCrashError):
+                    part = _scan_one(corpus, min_mentions, index, injector)
+                elif error is not None:
+                    raise error
+                yield index, part
+    finally:
+        _pool_scan = None
+
+
 def scan_corpus(
     corpus: ColumnarCorpus,
     min_mentions: int = 1,
+    *,
+    workers: int | None = None,
 ) -> CorpusAggregates:
-    """Scan a whole columnar corpus, one shard resident at a time.
+    """Scan a whole columnar corpus, one shard resident per process.
 
     Equivalent to classifying every materialized :class:`Paper` (the
     oracle tests pin this down), at columnar cost: the reduction is a
-    fold of :meth:`CorpusAggregates.merge` over per-shard scans, so
-    the result is independent of shard boundaries.
+    fold of :meth:`CorpusAggregates.update` over per-shard scans in
+    shard order, so the result is independent of shard boundaries and
+    of ``workers``.
+
+    Args:
+        corpus: The corpus; a streamed one stays streamed (each pool
+            worker loads its shards through the corpus loader).
+        min_mentions: Human-family mentions that make a paper human.
+        workers: Process-pool width, one shard per task; ``None`` is
+            one worker per usable CPU.  The width is capped at the
+            shard count, and the scan runs in-process at width 1,
+            inside a pool worker, off the main thread, or without
+            ``fork``.
     """
     merged = CorpusAggregates()
-    for shard in corpus.iter_shards():
-        merged = merged.merge(scan_shard(shard, corpus.vocab, min_mentions))
+    # Parts fold in shard order whatever order they finish in; only a
+    # part that finishes ahead of a slower shard waits.
+    waiting: dict[int, CorpusAggregates] = {}
+    folded = 0
+    for index, part in _scanned_parts(corpus, min_mentions, _scan_width(corpus, workers)):
+        waiting[index] = part
+        while folded in waiting:
+            merged.update(waiting.pop(folded))
+            folded += 1
     return merged

@@ -103,6 +103,17 @@ EQUIVALENCE_CASES = [
     # empty text and no-hit text
     ({"a": ("anything",)}, ""),
     ({"a": ("anything",)}, "nothing here matches at all"),
+    # chunks longer than a token head that share its 8 bytes, as exact
+    # first chunks, stems and second chunks
+    ({"a": ("particip*",), "b": ("participatory design",), "c": ("participatorily",),
+      "d": ("we participated", "we participate in")},
+     "participatory design participatory participatorily particip participating "
+     "we participated we participate in we particip"),
+    # a token both gated (a two-word phrase) and admitted by a short stem
+    ({"a": ("we*",), "b": ("we measure",)}, "we measure we report weekly we"),
+    # second chunks where one starts another, under two families
+    ({"a": ("case stud*",), "b": ("case study",), "c": ("case studies of",)},
+     "case study case studies of case stud case studio case"),
 ]
 
 
@@ -120,6 +131,15 @@ class TestSinglePassEquivalence:
             assert scanner.detect(text, selection) == detect_multipass(
                 scanner, text, selection
             )
+
+    @pytest.mark.parametrize("lexicon,text", EQUIVALENCE_CASES)
+    def test_adversarial_lexicons_block_scan(self, lexicon, text):
+        # An ASCII text takes the numpy prefilter (head tables of every
+        # width, follower gates) and must find what detect finds.
+        scanner = LexiconScanner(lexicon)
+        starts, family_ids = scanner.scan_block(text, fold_case(text))
+        found = sorted(zip(starts.tolist(), (scanner.families[i] for i in family_ids)))
+        assert found == [(m.start, m.family) for m in scanner.detect(text)]
 
     def test_default_lexicon_on_representative_texts(self):
         texts = [

@@ -1,5 +1,9 @@
 """Oracle tests: per-shard scan analytics vs the classic dataclass path."""
 
+import json
+import os
+import sys
+import threading
 from collections import Counter
 from unittest import mock
 
@@ -22,6 +26,9 @@ from repro.bibliometrics.shardgen import ShardedCorpusConfig, generate_columnar_
 from repro.bibliometrics.shardscan import CorpusAggregates, scan_corpus, scan_shard
 from repro.core import positionality
 from repro.core.positionality import has_positionality_statement
+from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.runtime import faultinject, supervisor
+from repro.runtime.faultinject import FaultInjector, use_fault_injector
 from repro.bibliometrics.trends import (
     adoption_series,
     adoption_series_from_counts,
@@ -357,6 +364,159 @@ class TestStreamedScan:
             CONFIG, cache_dir=str(tmp_path), stream=True
         )
         assert scan_corpus(streamed) == aggregates
+
+
+def records_text(aggregates: CorpusAggregates) -> str:
+    """The aggregate's records as JSON, key order included."""
+    return json.dumps(aggregates.to_records())
+
+
+@pytest.fixture
+def supervisors(monkeypatch):
+    """The ``workers`` of every WorkerSupervisor a scan builds."""
+    widths = []
+    real = supervisor.WorkerSupervisor
+
+    def recording(**kwargs):
+        widths.append(kwargs["workers"])
+        return real(**kwargs)
+
+    monkeypatch.setattr(supervisor, "WorkerSupervisor", recording)
+    return widths
+
+
+class TestParallelScan:
+    """Shards fan out over the worker supervisor; results never change."""
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_records_equal_at_every_width(self, tmp_path, aggregates, stream, supervisors):
+        corpus = generate_columnar_corpus(
+            CONFIG, cache_dir=str(tmp_path) if stream else None, stream=stream
+        )
+        supervisors.clear()  # the generator's
+        expected = records_text(aggregates)
+        for workers in (1, 2, None):
+            scanned = scan_corpus(corpus, workers=workers)
+            assert records_text(scanned) == expected, workers
+        # A pool ran at 2 (so the equality is not vacuous) and at one
+        # worker per usable CPU, capped at the 4 shards.
+        default = min(len(os.sched_getaffinity(0)), corpus.n_shards)
+        assert supervisors == [2] + [default] * (default > 1)
+        if stream:
+            assert corpus.resident_shards() <= 1
+
+    def test_min_mentions_reaches_the_workers(self, corpus):
+        assert records_text(scan_corpus(corpus, 3, workers=2)) == records_text(
+            scan_corpus(corpus, 3, workers=1)
+        )
+
+    def test_worker_killed_once_gives_the_same_records(self, corpus, aggregates):
+        injector = FaultInjector(seed=0)
+        injector.register(shardscan.FAULT_SITE, mode="kill", probability=1.0, times=1)
+        metrics = MetricsRegistry()
+        with use_fault_injector(injector), use_metrics(metrics):
+            scanned = scan_corpus(corpus, workers=2)
+        assert records_text(scanned) == records_text(aggregates)
+        counters = metrics.snapshot()["counters"]
+        assert counters["runner.worker_crashes"] >= 1
+        # The crash is credited to the requeued task, which then succeeds.
+        assert "runner.quarantined" not in counters
+
+    def test_quarantined_shards_scan_in_process(self, corpus, aggregates):
+        injector = FaultInjector(seed=0)
+        # Every worker attempt dies; ``kill`` does not fire in this process.
+        injector.register(shardscan.FAULT_SITE, mode="kill", probability=1.0)
+        metrics = MetricsRegistry()
+        with use_fault_injector(injector), use_metrics(metrics):
+            scanned = scan_corpus(corpus, workers=2)
+        assert records_text(scanned) == records_text(aggregates)
+        assert metrics.snapshot()["counters"]["runner.quarantined"] >= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raise_fault_fires_at_any_width(self, corpus, workers):
+        injector = FaultInjector(seed=0)
+        injector.register(shardscan.FAULT_SITE, mode="raise", probability=1.0, times=1)
+        with use_fault_injector(injector), pytest.raises(faultinject.InjectedFault):
+            scan_corpus(corpus, workers=workers)
+
+    def test_in_process_scan_spends_one_budget_across_shards(self, corpus):
+        # The caller's own injector is consulted: a hang armed once
+        # stalls one shard, and its stats see every shard's call.
+        sleeps: list = []
+        injector = FaultInjector(seed=0, sleep=sleeps.append)
+        injector.register(shardscan.FAULT_SITE, mode="hang", times=1, hang_seconds=5.0)
+        with use_fault_injector(injector):
+            scan_corpus(corpus, workers=1)
+        assert sleeps == [5.0]
+        assert injector.stats()[shardscan.FAULT_SITE] == {
+            "calls": corpus.n_shards, "fired": 1
+        }
+
+    def test_in_process_scan_continues_the_random_stream(self, corpus):
+        site = shardscan.FAULT_SITE
+        reference = FaultInjector(seed=1)
+        reference.register(site, mode="hang", probability=0.5)
+        expected = [reference.should_fire(site) for _ in range(corpus.n_shards)]
+        assert len(set(expected)) == 2  # a restarted stream would repeat its first draw
+        sleeps: list = []
+        injector = FaultInjector(seed=1, sleep=sleeps.append)
+        injector.register(site, mode="hang", probability=0.5, hang_seconds=1.0)
+        with use_fault_injector(injector):
+            scan_corpus(corpus, workers=1)
+        assert len(sleeps) == sum(expected)
+
+    def test_in_process_scan_raises_the_registered_exception(self, corpus):
+        class ShardFault(Exception):
+            pass
+
+        injector = FaultInjector(seed=0)
+        injector.register(shardscan.FAULT_SITE, exception=ShardFault, times=1)
+        with use_fault_injector(injector), pytest.raises(ShardFault):
+            scan_corpus(corpus, workers=1)
+
+    def test_pool_worker_scans_in_process(self, corpus, aggregates, monkeypatch, supervisors):
+        monkeypatch.setattr(faultinject, "_in_worker_process", True)
+        assert records_text(scan_corpus(corpus, workers=2)) == records_text(aggregates)
+        assert supervisors == []
+
+    def test_thread_scans_in_process_and_keep_their_own_corpus(
+        self, corpus, aggregates, supervisors
+    ):
+        other = generate_columnar_corpus(ShardedCorpusConfig(
+            start_year=2020, end_year=2024, seed=3, total_papers=600, shard_size=200
+        ))
+        supervisors.clear()  # the generator's
+        expected = {id(corpus): records_text(aggregates),
+                    id(other): records_text(scan_corpus(other, workers=1))}
+        targets = [corpus, other] * 3
+        results: list = [None] * len(targets)
+
+        def scan(slot: int) -> None:
+            results[slot] = records_text(scan_corpus(targets[slot], workers=2))
+
+        threads = [threading.Thread(target=scan, args=(slot,)) for slot in range(len(targets))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected[id(target)] for target in targets]
+        assert supervisors == []
+
+    def test_one_shard_corpus_scans_in_process(self, supervisors):
+        config = ShardedCorpusConfig(
+            start_year=2024, end_year=2024, seed=5, total_papers=200, shard_size=500
+        )
+        one = generate_columnar_corpus(config)
+        assert one.n_shards == 1
+        supervisors.clear()  # the generator's
+        assert scan_corpus(one, workers=4).n_papers == 200
+        assert supervisors == []
 
 
 #: A marker plus facets: what the positionality detector accepts.

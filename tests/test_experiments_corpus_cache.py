@@ -8,6 +8,7 @@ and classify no text, the aggregates codec, and the spec schema bump
 that keeps results of the earlier generator from being served.
 """
 
+import functools
 import hashlib
 import json
 
@@ -76,7 +77,8 @@ def generations(monkeypatch):
 @pytest.fixture
 def classifications(monkeypatch):
     """Count papers whose text the scan classifies (one entry per paper
-    passed to the block matcher)."""
+    passed to the block matcher).  The scan is pinned to one worker, so
+    every block is classified in this process and counted."""
     calls = []
     real = shardscan._classify_block
 
@@ -85,6 +87,9 @@ def classifications(monkeypatch):
         return real(texts)
 
     monkeypatch.setattr(shardscan, "_classify_block", counting)
+    monkeypatch.setattr(
+        _corpus, "scan_corpus", functools.partial(shardscan.scan_corpus, workers=1)
+    )
     return calls
 
 
