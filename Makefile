@@ -133,8 +133,11 @@ integrity-smoke:
 		tests/test_integrity.py tests/test_io_artifacts.py -q
 	python scripts/integrity_smoke.py
 
+# Every smoke above, in one target: the CI's second step.
+smoke: obs-smoke chaos-smoke sweep-smoke serve-smoke bench-gate-smoke corpus-smoke integrity-smoke
+
 outputs:
 	pytest tests/ 2>&1 | tee test_output.txt
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-.PHONY: install test bench examples experiments experiments-full check chaos-smoke sweep-smoke serve-smoke obs-smoke bench-gate bench-gate-smoke corpus-smoke integrity-smoke outputs
+.PHONY: install test bench examples experiments experiments-full check smoke chaos-smoke sweep-smoke serve-smoke obs-smoke bench-gate bench-gate-smoke corpus-smoke integrity-smoke outputs

@@ -13,9 +13,14 @@ over a scraped corpus.
 
 Modules:
 
-- :mod:`repro.bibliometrics.corpus` -- papers, authors, venues, corpora.
+- :mod:`repro.bibliometrics.corpus` -- papers, authors, venues, and
+  ``Corpus``, the one Paper-level corpus API.
+- :mod:`repro.bibliometrics.columnar` -- sharded columnar storage;
+  ``ColumnarCorpus.to_corpus()`` is its one bridge to ``Corpus``.
 - :mod:`repro.bibliometrics.synthgen` -- synthetic corpus calibration.
 - :mod:`repro.bibliometrics.shardgen` -- synthetic corpus generator.
+- :mod:`repro.bibliometrics.shardscan` -- per-shard scan into
+  associative aggregates.
 - :mod:`repro.bibliometrics.methods_detect` -- method-mention detection.
 - :mod:`repro.bibliometrics.networks` -- coauthorship/citation graphs.
 - :mod:`repro.bibliometrics.metrics` -- concentration and diversity indices.

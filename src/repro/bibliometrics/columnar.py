@@ -14,14 +14,15 @@ grouped into fixed-size **shards**:
 - generator ground truth as a per-paper human-family bitmask plus a
   positionality flag column.
 
-:class:`ColumnarCorpus` exposes the existing ``Corpus``/``Paper`` API
-*lazily* — iteration yields real :class:`Paper` dataclasses built on
-demand — so every current consumer (``methods_detect``, ``trends``,
-``demographics``…) keeps working unchanged, while scale-aware callers
-use :meth:`ColumnarCorpus.iter_shards` and the per-shard reducers in
-:mod:`repro.bibliometrics.shardscan`.  With ``max_resident=1`` the
-corpus streams: at most one shard's string pools are decoded at a time
-and the rest live in the :class:`repro.io.artifacts.ArtifactCache`.
+:class:`ColumnarCorpus` is storage: shard access, residency, the
+fingerprint, and array aggregates.  Scale-aware callers reduce per
+shard via :meth:`ColumnarCorpus.iter_shards` and the per-shard
+reducers in :mod:`repro.bibliometrics.shardscan`.  The one Paper-level
+API is the classic :class:`~repro.bibliometrics.corpus.Corpus`;
+:meth:`ColumnarCorpus.to_corpus` is the single bridge to it.  With
+``max_resident=1`` the corpus streams: at most one shard's string pools
+are decoded at a time and the rest live in the
+:class:`repro.io.artifacts.ArtifactCache`.
 
 Shards serialize to the artifact cache's JSONL record format (one
 record per column, numeric data base64-encoded, text stored as JSON
@@ -85,15 +86,6 @@ _PAPER_ID_DIGITS = 8
 def paper_id_for(index: int) -> str:
     """The stable paper id for global paper ``index`` (``p00000042``)."""
     return f"p{index:0{_PAPER_ID_DIGITS}d}"
-
-
-def _index_of_paper_id(paper_id: str) -> int:
-    if not paper_id.startswith("p"):
-        raise KeyError(paper_id)
-    try:
-        return int(paper_id[1:], 10)
-    except ValueError:
-        raise KeyError(paper_id) from None
 
 
 class TextColumn:
@@ -372,20 +364,6 @@ class CorpusVocab:
             self._author_ids[index] = cached
         return cached
 
-    def author_index(self, author_id: str) -> int:
-        """Inverse of :meth:`author_id` (KeyError when malformed/unknown)."""
-        venue_id, _, local = author_id.rpartition("-a")
-        for venue_idx, venue in enumerate(self.venues):
-            if venue.venue_id == venue_id:
-                try:
-                    index = int(self.author_offsets[venue_idx]) + int(local, 10)
-                except ValueError:
-                    raise KeyError(author_id) from None
-                if index >= int(self.author_offsets[venue_idx + 1]):
-                    raise KeyError(author_id)
-                return index
-        raise KeyError(author_id)
-
     def author(self, index: int) -> Author:
         """The :class:`Author` dataclass for global author ``index``."""
         sector = self.sectors[self.author_sector_idx[index]]
@@ -403,18 +381,17 @@ class CorpusVocab:
 
 
 class ColumnarCorpus:
-    """A sharded columnar corpus behind the classic ``Corpus`` API.
+    """A sharded columnar corpus: storage, not a second ``Corpus``.
 
     Shards load through ``loader(shard_index)`` and are kept in a small
     LRU; with ``max_resident=1`` (streaming mode) at most one shard's
     string pools are decoded at any moment, so iterating a 10⁶-paper
     corpus costs one shard of RAM, not the corpus.
 
-    The dataclass API (:meth:`__iter__`, :meth:`papers`,
-    :meth:`paper` …) materializes :class:`Paper` objects on demand and
-    is the *compatibility* path; scale-aware consumers should reduce
-    per shard via :meth:`iter_shards` (see
-    :mod:`repro.bibliometrics.shardscan`).
+    Consumers reduce per shard via :meth:`iter_shards` (see
+    :mod:`repro.bibliometrics.shardscan`).  Analyses written against
+    :class:`Paper` objects run on :meth:`to_corpus`, which reads every
+    shard once.
     """
 
     def __init__(
@@ -428,9 +405,7 @@ class ColumnarCorpus:
     ) -> None:
         self.vocab = vocab
         self._sizes = list(shard_sizes)
-        self._offsets = [0]
-        for size in self._sizes:
-            self._offsets.append(self._offsets[-1] + size)
+        self._n_papers = sum(self._sizes)
         self._loader = loader
         self._shard_fingerprints = shard_fingerprints
         self.max_resident = max_resident
@@ -512,118 +487,10 @@ class ColumnarCorpus:
             ]
         return merge_fingerprints(self._shard_fingerprints)
 
-    # -- locating papers -----------------------------------------------
-
-    def _locate(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < len(self):
-            raise KeyError(paper_id_for(index))
-        shard_index = int(
-            np.searchsorted(np.asarray(self._offsets), index, side="right") - 1
-        )
-        return shard_index, index - self._offsets[shard_index]
-
-    def _paper_at(self, shard: ColumnarShard, local: int) -> Paper:
-        vocab = self.vocab
-        return Paper(
-            paper_id=paper_id_for(shard.paper_offset + local),
-            title=shard.title[local],
-            abstract=shard.abstract[local],
-            body=shard.body[local],
-            venue_id=vocab.venues[shard.venue_idx[local]].venue_id,
-            year=int(shard.year[local]),
-            author_ids=tuple(
-                vocab.author_id(int(a)) for a in shard.authors_of(local)
-            ),
-            topic=vocab.topics[shard.topic_idx[local]],
-            references=tuple(
-                paper_id_for(int(r)) for r in shard.refs_of(local)
-            ),
-        )
-
-    # -- Corpus API ----------------------------------------------------
-
     def __len__(self) -> int:
-        return self._offsets[-1]
+        return self._n_papers
 
-    def __iter__(self) -> Iterator[Paper]:
-        for shard in self.iter_shards():
-            for local in range(shard.n_papers):
-                yield self._paper_at(shard, local)
-
-    def paper(self, paper_id: str) -> Paper:
-        """Paper by id (KeyError when absent)."""
-        shard_index, local = self._locate(_index_of_paper_id(paper_id))
-        return self._paper_at(self.shard(shard_index), local)
-
-    def author(self, author_id: str) -> Author:
-        """Author by id (KeyError when absent)."""
-        return self.vocab.author(self.vocab.author_index(author_id))
-
-    def venue(self, venue_id: str) -> Venue:
-        """Venue by id (KeyError when absent)."""
-        for venue in self.vocab.venues:
-            if venue.venue_id == venue_id:
-                return venue
-        raise KeyError(venue_id)
-
-    def papers(
-        self,
-        venue_id: str | None = None,
-        year: int | None = None,
-        topic: str | None = None,
-        predicate: Callable[[Paper], bool] | None = None,
-    ) -> list[Paper]:
-        """Papers filtered by venue, year, topic, and/or a predicate.
-
-        Materializes matching papers only: the filter runs on the
-        integer columns first, so an off-venue/off-year shard costs a
-        few array compares and zero string slicing.
-        """
-        venue_idx = None
-        if venue_id is not None:
-            venue_idx = next(
-                (i for i, v in enumerate(self.vocab.venues) if v.venue_id == venue_id),
-                -1,
-            )
-        topic_idx = None
-        if topic is not None:
-            topic_idx = (
-                self.vocab.topics.index(topic) if topic in self.vocab.topics else -1
-            )
-        result: list[Paper] = []
-        for shard in self.iter_shards():
-            mask = np.ones(shard.n_papers, dtype=bool)
-            if venue_idx is not None:
-                mask &= shard.venue_idx == venue_idx
-            if year is not None:
-                mask &= shard.year == year
-            if topic_idx is not None:
-                mask &= shard.topic_idx == topic_idx
-            for local in np.nonzero(mask)[0]:
-                paper = self._paper_at(shard, int(local))
-                if predicate is None or predicate(paper):
-                    result.append(paper)
-        return result
-
-    def venues(self) -> list[Venue]:
-        """All venues, sorted by id."""
-        return sorted(self.vocab.venues, key=lambda v: v.venue_id)
-
-    def authors(self) -> list[Author]:
-        """All authors, sorted by id (materialized — small table)."""
-        return sorted(
-            (self.vocab.author(i) for i in range(self.vocab.n_authors)),
-            key=lambda a: a.author_id,
-        )
-
-    def years(self) -> list[int]:
-        """Distinct publication years, ascending (columnar scan)."""
-        seen: set[int] = set()
-        for shard in self.iter_shards():
-            seen.update(int(y) for y in np.unique(shard.year))
-        return sorted(seen)
-
-    # -- aggregates (columnar fast paths) ------------------------------
+    # -- aggregates ----------------------------------------------------
 
     def papers_per_author_array(self) -> np.ndarray:
         """Paper counts indexed by global author index (zeros included)."""
@@ -635,16 +502,6 @@ class ColumnarCorpus:
                 )
         return counts
 
-    def papers_per_author(self):
-        """Counter of paper counts keyed by author id (Corpus API)."""
-        from collections import Counter
-
-        counts = self.papers_per_author_array()
-        return Counter({
-            self.vocab.author_id(int(i)): int(counts[i])
-            for i in np.nonzero(counts)[0]
-        })
-
     def citation_counts_array(self) -> np.ndarray:
         """Within-corpus citation counts indexed by global paper index."""
         counts = np.zeros(len(self), dtype=np.int64)
@@ -652,36 +509,6 @@ class ColumnarCorpus:
             if shard.ref_values.size:
                 counts += np.bincount(shard.ref_values, minlength=len(self))
         return counts
-
-    def citation_counts(self):
-        """Counter of citations keyed by cited paper id (Corpus API)."""
-        from collections import Counter
-
-        counts = self.citation_counts_array()
-        return Counter({
-            paper_id_for(int(i)): int(counts[i]) for i in np.nonzero(counts)[0]
-        })
-
-    def topic_counts(self, venue_id: str | None = None):
-        """Counter of paper counts keyed by topic (Corpus API)."""
-        from collections import Counter
-
-        venue_idx = None
-        if venue_id is not None:
-            venue_idx = next(
-                (i for i, v in enumerate(self.vocab.venues) if v.venue_id == venue_id),
-                -1,
-            )
-        totals = np.zeros(len(self.vocab.topics), dtype=np.int64)
-        for shard in self.iter_shards():
-            topic_idx = shard.topic_idx
-            if venue_idx is not None:
-                topic_idx = topic_idx[shard.venue_idx == venue_idx]
-            if topic_idx.size:
-                totals += np.bincount(topic_idx, minlength=len(self.vocab.topics))
-        return Counter({
-            self.vocab.topics[i]: int(totals[i]) for i in np.nonzero(totals)[0]
-        })
 
     # -- interop -------------------------------------------------------
 
@@ -706,18 +533,39 @@ class ColumnarCorpus:
                 )
         return truth
 
-    def to_corpus(self) -> Corpus:
-        """Materialize a classic dataclass :class:`Corpus`.
+    def _paper_at(self, shard: ColumnarShard, local: int) -> Paper:
+        vocab = self.vocab
+        return Paper(
+            paper_id=paper_id_for(shard.paper_offset + local),
+            title=shard.title[local],
+            abstract=shard.abstract[local],
+            body=shard.body[local],
+            venue_id=vocab.venues[shard.venue_idx[local]].venue_id,
+            year=int(shard.year[local]),
+            author_ids=tuple(
+                vocab.author_id(int(a)) for a in shard.authors_of(local)
+            ),
+            topic=vocab.topics[shard.topic_idx[local]],
+            references=tuple(
+                paper_id_for(int(r)) for r in shard.refs_of(local)
+            ),
+        )
 
-        The equivalence-oracle bridge: tests run the legacy analytics
-        on the materialized corpus and assert the per-shard reducers
-        agree.  Memory scales with corpus size — use at oracle scale.
+    def to_corpus(self) -> Corpus:
+        """Materialize the classic dataclass :class:`Corpus`.
+
+        The one bridge to the Paper-level API: walks the vocab, then
+        every shard once, in order.  Memory scales with corpus size
+        (every paper's text is copied), so stream with
+        :meth:`iter_shards` where a per-shard reduction will do.
         """
         corpus = Corpus()
-        for venue in self.vocab.venues:
+        vocab = self.vocab
+        for venue in vocab.venues:
             corpus.add_venue(venue)
-        for author in self.authors():
-            corpus.add_author(author)
-        for paper in self:
-            corpus.add_paper(paper)
+        for index in range(vocab.n_authors):
+            corpus.add_author(vocab.author(index))
+        for shard in self.iter_shards():
+            for local in range(shard.n_papers):
+                corpus.add_paper(self._paper_at(shard, local))
         return corpus

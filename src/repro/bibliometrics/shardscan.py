@@ -2,8 +2,9 @@
 
 The classic analytics (``methods_detect.classify_paper`` over every
 paper, ``trends.adoption_series``, the ``metrics`` indices over Counter
-values) materialize the whole corpus as :class:`Paper` objects.  At
-10⁶ papers that is exactly the ceiling the columnar layout removes — so
+values) run on the Paper-level :class:`~repro.bibliometrics.corpus.Corpus`,
+which :meth:`ColumnarCorpus.to_corpus` materializes in full.  At 10⁶
+papers that is exactly the ceiling the columnar layout removes — so
 this module re-expresses them as a **per-shard scan** producing a small
 associative summary, :class:`CorpusAggregates`, that merges like the
 in-tree ``MetricsRegistry.merge`` pattern:
@@ -14,10 +15,10 @@ in-tree ``MetricsRegistry.merge`` pattern:
 :class:`~repro.runtime.supervisor.WorkerSupervisor` pool (forked, so
 workers reach the corpus without pickling it) and folds the parts in
 shard order; one shard is resident per process, so streaming corpora
-stay streamed.  The classic dataclass pipeline remains in place as the
-equivalence oracle — the tests assert that :func:`scan_corpus` + the
-``*_from_counts`` helpers in :mod:`repro.bibliometrics.trends`
-reproduce ``adoption_series`` / ``venue_adoption_table`` verbatim.
+stay streamed.  The classic per-paper classification over
+``to_corpus()`` remains as the equivalence oracle: the tests assert
+that the scan's counters equal it, and the trend builders in
+:mod:`repro.bibliometrics.trends` take either set of counters.
 
 Text is classified a block of :data:`BLOCK_PAPERS` papers at a time.
 The block's papers are joined into one string and matched in one call

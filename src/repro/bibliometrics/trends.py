@@ -4,19 +4,20 @@ Turns the detector output into the per-venue, per-year adoption series
 that experiment E1 reports: what share of each venue's papers mention
 human-centered methods, and how that share moves over time.
 
-Two equivalent paths produce the series:
+The series are built from per-(venue, year) ``papers``/``human``
+counters by :func:`adoption_series_from_counts` and
+:func:`venue_adoption_table_from_counts`.  The counters come from one
+of two places:
 
-- the classic one (:func:`adoption_series`,
-  :func:`venue_adoption_table`) classifies materialized
-  :class:`~repro.bibliometrics.corpus.Paper` objects, and
-- the columnar one (:func:`adoption_series_from_counts`,
-  :func:`venue_adoption_table_from_counts`) consumes the per-(venue,
-  year) counters a per-shard scan
-  (:func:`repro.bibliometrics.shardscan.scan_corpus`) already holds.
+- the per-shard scan
+  (:func:`repro.bibliometrics.shardscan.scan_corpus`), which already
+  holds them for a columnar corpus, or
+- :func:`adoption_series` / :func:`venue_adoption_table`, which count
+  them by classifying the :class:`~repro.bibliometrics.corpus.Paper`
+  objects of a classic corpus.
 
-Both shares are ratios of per-(venue, year) counts, so the from-counts
-builders reproduce the classic output exactly — the oracle tests pin
-the equality down.
+One builder per statistic, so the two paths cannot drift; the oracle
+tests check the scan's counts against per-paper classification.
 """
 
 from __future__ import annotations
@@ -51,22 +52,30 @@ class AdoptionPoint:
         return self.n_human / self.n_papers if self.n_papers else 0.0
 
 
+def _venue_year_counts(
+    corpus: Corpus,
+    min_mentions: int,
+    venue_id: str | None = None,
+) -> dict[tuple[str, int], Counter]:
+    """Classify each paper into ``(venue, year) -> {papers, human}``."""
+    counts: dict[tuple[str, int], Counter] = {}
+    for paper in corpus.papers(venue_id=venue_id):
+        bucket = counts.setdefault((paper.venue_id, paper.year), Counter())
+        bucket["papers"] += 1
+        if uses_human_methods(paper, min_mentions=min_mentions):
+            bucket["human"] += 1
+    return counts
+
+
 def adoption_series(
     corpus: Corpus,
     venue_id: str,
     min_mentions: int = 1,
 ) -> list[AdoptionPoint]:
     """Yearly human-method adoption for one venue, ascending years."""
-    points = []
-    for year in corpus.years():
-        papers = corpus.papers(venue_id=venue_id, year=year)
-        if not papers:
-            continue
-        n_human = sum(
-            1 for p in papers if uses_human_methods(p, min_mentions=min_mentions)
-        )
-        points.append(AdoptionPoint(venue_id, year, len(papers), n_human))
-    return points
+    return adoption_series_from_counts(
+        _venue_year_counts(corpus, min_mentions, venue_id), venue_id
+    )
 
 
 def venue_adoption_table(
@@ -81,36 +90,10 @@ def venue_adoption_table(
         (first and last third of the year range), sorted by descending
         ``human_share``.
     """
-    years = corpus.years()
-    if not years:
-        return []
-    span = years[-1] - years[0] + 1
-    early_cutoff = years[0] + span // 3
-    late_cutoff = years[-1] - span // 3
-    records = []
-    for venue in corpus.venues():
-        papers = corpus.papers(venue_id=venue.venue_id)
-        if not papers:
-            continue
-        flags = [
-            (p.year, uses_human_methods(p, min_mentions=min_mentions))
-            for p in papers
-        ]
-        total_human = sum(1 for _, flag in flags if flag)
-        early = [flag for year, flag in flags if year < early_cutoff]
-        late = [flag for year, flag in flags if year > late_cutoff]
-        records.append(
-            {
-                "venue_id": venue.venue_id,
-                "kind": venue.kind,
-                "n_papers": len(papers),
-                "human_share": total_human / len(papers),
-                "early_share": (sum(early) / len(early)) if early else 0.0,
-                "late_share": (sum(late) / len(late)) if late else 0.0,
-            }
-        )
-    records.sort(key=lambda r: (-r["human_share"], r["venue_id"]))
-    return records
+    return venue_adoption_table_from_counts(
+        _venue_year_counts(corpus, min_mentions),
+        {venue.venue_id: venue.kind for venue in corpus.venues()},
+    )
 
 
 def adoption_series_from_counts(

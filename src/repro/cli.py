@@ -426,6 +426,7 @@ def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
         ShardedCorpusConfig,
         generate_columnar_corpus,
     )
+    from repro.io.jsonl import write_text_atomic
 
     config = ShardedCorpusConfig(
         start_year=args.start_year,
@@ -464,7 +465,6 @@ def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
     print(f"fingerprint: {fingerprint}")
     if args.output is not None:
         out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
         manifest = {
             "config": config.to_dict(),
             "n_papers": len(corpus),
@@ -473,9 +473,9 @@ def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
             "fingerprint": fingerprint,
             "cache_dir": cache_dir,
         }
-        (out / "manifest.json").write_text(
+        write_text_atomic(
+            out / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
         )
         print(f"wrote manifest -> {out / 'manifest.json'}")
     return 0

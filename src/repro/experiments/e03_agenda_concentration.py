@@ -129,10 +129,10 @@ def run(
         ],
         title="E3b: who is in the room (flagship venue per kind)",
     )
-    corpus = shared_columnar_corpus_from_config(config)
+    classic = shared_columnar_corpus_from_config(config).to_corpus()
     rooms = {}
     for kind, venue_id in sorted(flagship.items()):
-        room = room_report(corpus, venue_id)
+        room = room_report(classic, venue_id)
         rooms[kind] = room
         room_table.add_row(
             [

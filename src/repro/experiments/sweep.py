@@ -185,15 +185,11 @@ class SweepReport:
         cold sequential one — the equality the sweep determinism tests
         assert.
         """
-        import hashlib
+        from repro.runtime.runner import SuiteReport
 
-        payload = []
-        for point in self.points:
-            row = point.record.to_record()
-            row["duration"] = 0.0
-            payload.append(row)
-        canonical = json.dumps(payload, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return SuiteReport(
+            records=[point.record for point in self.points]
+        ).fingerprint()
 
     def _axis_value(self, spec, axis: str):
         value = spec

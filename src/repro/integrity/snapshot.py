@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.errors import IntegrityError
 from repro.io.artifacts import body_digest
-from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.io.jsonl import read_jsonl, write_jsonl, write_text_atomic
 
 __all__ = [
     "MANIFEST_NAME",
@@ -167,9 +167,8 @@ def export_snapshot(
         "fingerprint": merge_fingerprints(fingerprints),
     }
     manifest["manifest_sha256"] = _manifest_sha256(manifest)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    write_text_atomic(
+        manifest_path, json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     )
     return manifest
 

@@ -7,16 +7,19 @@ UTF-8 BOM, and can distinguish a *torn final line* (a writer killed
 mid-record) from interior corruption.  Writers are crash-safe:
 ``write_jsonl`` lands atomically (write ``path.tmp``, fsync, rename),
 so a killed process leaves either the old file or the complete new one
-on disk — never a half-written dataset.
+on disk — never a half-written dataset.  ``write_text_atomic`` gives
+whole-file JSON documents (snapshot and corpus manifests) the same
+path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from repro.errors import JsonlDecodeError, TruncatedFileError
 
@@ -60,6 +63,34 @@ def _dump_lines(handle, records: Iterable[dict]) -> int:
     return count
 
 
+@contextlib.contextmanager
+def _atomic_replace(path: Path, fault_point: str) -> Iterator[TextIO]:
+    """A text handle whose contents replace ``path`` only on success.
+
+    Writes go to a private ``<path>.<random>.tmp`` that is fsynced and
+    renamed over ``path`` when the block exits cleanly.  On any error
+    the temp file is removed and ``path`` keeps its old contents.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    tmp = Path(tmp_name)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            # The injection point sits after the temp file exists, so an
+            # injected ENOSPC exercises the same orphan-cleanup path a
+            # real full disk would.
+            _check_fault(fault_point)
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     """Write ``records`` to ``path``, one JSON object per line.
 
@@ -72,27 +103,20 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     same destination each land a complete file (last rename wins)
     instead of interleaving into a shared scratch file.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    tmp = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            # The injection point sits after the temp file exists, so an
-            # injected ENOSPC exercises the same orphan-cleanup path a
-            # real full disk would.
-            _check_fault("io:write_jsonl")
-            count = _dump_lines(handle, records)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_replace(Path(path), "io:write_jsonl") as handle:
+        count = _dump_lines(handle, records)
     _metrics().count("io.jsonl.rows_written", count)
     return count
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically, as :func:`write_jsonl` does.
+
+    For whole-file documents such as manifests: a crash part-way
+    through leaves the previous file intact and no temp file behind.
+    """
+    with _atomic_replace(Path(path), "io:write_text") as handle:
+        handle.write(text)
 
 
 def append_jsonl(path: str | Path, records: Iterable[dict]) -> int:

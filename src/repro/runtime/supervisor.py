@@ -1,8 +1,11 @@
 """Process-level supervision for process-pool work.
 
-Two kinds of work fan out over a process pool: suite experiments
-(:class:`repro.runtime.runner.SuiteRunner` with ``workers > 1``) and
-corpus shards (:func:`repro.bibliometrics.shardgen.generate_columnar_corpus`).
+Three kinds of work fan out over a process pool: suite experiments
+(:class:`repro.runtime.runner.SuiteRunner` with ``workers > 1``),
+corpus shard generation
+(:func:`repro.bibliometrics.shardgen.generate_columnar_corpus`) and
+the per-shard corpus scan
+(:func:`repro.bibliometrics.shardscan.scan_corpus`).
 An ordinary exception in a worker comes back through its future, but a
 worker that dies outright (OOM killer, a segfault in a C extension, an
 injected ``kill`` fault) breaks the pool: every in-flight future raises

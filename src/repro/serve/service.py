@@ -188,14 +188,18 @@ def compute_corpus_stats(config, *, cache: ArtifactCache) -> list[dict]:
     """
     from collections import Counter
 
+    import numpy as np
+
     from repro.experiments._corpus import shared_columnar_corpus_from_config
 
     corpus = shared_columnar_corpus_from_config(config)
     vocab = corpus.vocab
     by_year: Counter = Counter()
+    by_topic = np.zeros(len(vocab.topics), dtype=np.int64)
     positionality_papers = human_method_papers = 0
     for shard in corpus.iter_shards():
         by_year.update(shard.year.tolist())
+        by_topic += np.bincount(shard.topic_idx, minlength=len(vocab.topics))
         positionality_papers += int(shard.positionality.sum())
         human_method_papers += int((shard.human_mask != 0).sum())
     by_sector = Counter(vocab.sectors[i] for i in vocab.author_sector_idx)
@@ -205,7 +209,10 @@ def compute_corpus_stats(config, *, cache: ArtifactCache) -> list[dict]:
         "authors": vocab.n_authors,
         "venues": len(vocab.venues),
         "papers_by_year": {str(y): n for y, n in sorted(by_year.items())},
-        "papers_by_topic": dict(sorted(corpus.topic_counts().items())),
+        "papers_by_topic": {
+            topic: int(n)
+            for topic, n in sorted(zip(vocab.topics, by_topic)) if n
+        },
         "authors_by_sector": dict(sorted(by_sector.items())),
         "positionality_papers": positionality_papers,
         "human_method_papers": human_method_papers,

@@ -103,79 +103,102 @@ class TestFingerprints:
         assert rebuilt.fingerprint() == corpus.fingerprint()
 
 
+@pytest.fixture(scope="module")
+def legacy(corpus):
+    """The classic Paper-level corpus bridged from the columnar one."""
+    return corpus.to_corpus()
+
+
 class TestCorpusAPI:
-    def test_len_and_iteration(self, corpus):
-        assert len(corpus) == CONFIG.total_papers
-        papers = list(corpus)
+    """The Paper-level API reaches a columnar corpus through to_corpus()."""
+
+    def test_len_and_iteration(self, corpus, legacy):
+        assert len(corpus) == len(legacy) == CONFIG.total_papers
+        papers = list(legacy)
         assert len(papers) == CONFIG.total_papers
         assert all(isinstance(p, Paper) for p in papers[:5])
-        assert papers[0].paper_id == paper_id_for(0)
+        assert [p.paper_id for p in papers] == [
+            paper_id_for(i) for i in range(CONFIG.total_papers)
+        ]
 
-    def test_paper_lookup(self, corpus):
-        paper = corpus.paper(paper_id_for(7))
+    def test_paper_lookup(self, legacy):
+        paper = legacy.paper(paper_id_for(7))
         assert paper.paper_id == "p00000007"
         assert CONFIG.start_year <= paper.year <= CONFIG.end_year
         with pytest.raises(KeyError):
-            corpus.paper(paper_id_for(CONFIG.total_papers))
+            legacy.paper(paper_id_for(CONFIG.total_papers))
         with pytest.raises(KeyError):
-            corpus.paper("bogus")
+            legacy.paper("bogus")
 
-    def test_author_and_venue_lookup(self, corpus):
-        author = corpus.authors()[0]
-        assert corpus.author(author.author_id) == author
+    def test_author_and_venue_lookup(self, corpus, legacy):
+        vocab = corpus.vocab
+        assert len(legacy.authors()) == vocab.n_authors
+        author = legacy.authors()[0]
+        assert legacy.author(author.author_id) == author
+        assert legacy.author(vocab.author_id(5)) == vocab.author(5)
         with pytest.raises(KeyError):
-            corpus.author("no-such-a999999")
-        venue = corpus.venues()[0]
-        assert corpus.venue(venue.venue_id) == venue
+            legacy.author("no-such-a999999")
+        assert legacy.venues() == sorted(vocab.venues, key=lambda v: v.venue_id)
+        venue = legacy.venues()[0]
+        assert legacy.venue(venue.venue_id) == venue
         with pytest.raises(KeyError):
-            corpus.venue("no-such-venue")
+            legacy.venue("no-such-venue")
 
-    def test_references_resolve_to_earlier_years(self, corpus):
+    def test_references_resolve_to_earlier_years(self, legacy):
         checked = 0
-        for paper in corpus.papers(year=CONFIG.end_year):
+        for paper in legacy.papers(year=CONFIG.end_year):
             for ref in paper.references[:3]:
-                cited = corpus.paper(ref)
+                cited = legacy.paper(ref)
                 assert cited.year < paper.year
                 checked += 1
             if checked > 30:
                 break
         assert checked > 0
 
-    def test_papers_filters_match_manual_scan(self, corpus):
-        venue_id = corpus.venues()[0].venue_id
+    def test_papers_filters_match_manual_scan(self, corpus, legacy):
+        venue_idx = 0
+        venue_id = corpus.vocab.venues[venue_idx].venue_id
         year = CONFIG.start_year + 1
-        filtered = corpus.papers(venue_id=venue_id, year=year)
+        filtered = legacy.papers(venue_id=venue_id, year=year)
         manual = [
-            p for p in corpus if p.venue_id == venue_id and p.year == year
+            paper_id_for(shard.paper_offset + local)
+            for shard in corpus.iter_shards()
+            for local in range(shard.n_papers)
+            if shard.venue_idx[local] == venue_idx and shard.year[local] == year
         ]
-        assert [p.paper_id for p in filtered] == [p.paper_id for p in manual]
-        assert corpus.papers(venue_id="nope") == []
+        assert [p.paper_id for p in filtered] == manual
+        assert legacy.papers(venue_id="nope") == []
 
-    def test_predicate_filter(self, corpus):
-        humans = corpus.papers(
+    def test_predicate_filter(self, legacy):
+        humans = legacy.papers(
             year=CONFIG.end_year, predicate=lambda p: bool(p.body)
         )
         assert all(p.body for p in humans)
 
-    def test_years(self, corpus):
-        years = corpus.years()
+    def test_years(self, legacy):
+        years = legacy.years()
         assert years[0] == CONFIG.start_year
         assert years[-1] == CONFIG.end_year
 
-    def test_full_text_matches_paper_property(self, corpus):
-        shard = corpus.shard(0)
-        paper = corpus.paper(paper_id_for(shard.paper_offset))
-        assert shard.full_text(0) == paper.full_text
+    def test_full_text_matches_paper_property(self, corpus, legacy):
+        shard = corpus.shard(1)
+        for local in (0, shard.n_papers - 1):
+            paper = legacy.paper(paper_id_for(shard.paper_offset + local))
+            assert shard.full_text(local) == paper.full_text
 
 
 class TestAggregates:
-    def test_counters_match_dataclass_corpus(self, corpus):
-        legacy = corpus.to_corpus()
-        assert corpus.papers_per_author() == legacy.papers_per_author()
-        assert corpus.citation_counts() == legacy.citation_counts()
-        assert corpus.topic_counts() == legacy.topic_counts()
-        venue_id = corpus.venues()[3].venue_id
-        assert corpus.topic_counts(venue_id) == legacy.topic_counts(venue_id)
+    def test_counters_match_dataclass_corpus(self, corpus, legacy):
+        vocab = corpus.vocab
+        per_author = corpus.papers_per_author_array()
+        assert {
+            vocab.author_id(int(i)): int(per_author[i])
+            for i in np.nonzero(per_author)[0]
+        } == dict(legacy.papers_per_author())
+        cited = corpus.citation_counts_array()
+        assert {
+            paper_id_for(int(i)): int(cited[i]) for i in np.nonzero(cited)[0]
+        } == dict(legacy.citation_counts())
 
     def test_truth_masks_roundtrip(self, corpus):
         truth = corpus.truth()
@@ -199,9 +222,12 @@ class TestResidency:
         assert corpus.max_resident == 1
         for _ in corpus.iter_shards():
             assert corpus.resident_shards() <= 1
-        # Random access across shard boundaries keeps the bound too.
-        corpus.paper(paper_id_for(0))
-        corpus.paper(paper_id_for(CONFIG.total_papers - 1))
+        # Random access across shard boundaries keeps the bound too,
+        # and so does the one bridge to the Paper-level API.
+        corpus.shard(corpus.n_shards - 1)
+        corpus.shard(0)
+        assert corpus.resident_shards() <= 1
+        assert len(corpus.to_corpus()) == CONFIG.total_papers
         assert corpus.resident_shards() <= 1
 
     def test_materialized_keeps_shards(self):

@@ -150,8 +150,8 @@ class TestScanOracle:
         }
         assert observed == dict(legacy.papers_per_author())
 
-    def test_citations_match_citation_counts(self, corpus, aggregates, legacy):
-        paper_ids = [paper.paper_id for paper in corpus]
+    def test_citations_match_citation_counts(self, aggregates, legacy):
+        paper_ids = [paper.paper_id for paper in legacy]
         observed = {
             paper_ids[index]: count
             for index, count in aggregates.citations.items()

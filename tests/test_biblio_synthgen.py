@@ -137,7 +137,7 @@ class TestShardgenEquivalence:
         columnar = generate_columnar_corpus(corpus_config(seed=0, fast=False))
         # The oracle's defaults are the full preset: 2000-2025, pools of 120.
         return {
-            "shardgen": _marginals(columnar, columnar.truth()),
+            "shardgen": _marginals(columnar.to_corpus(), columnar.truth()),
             "oracle": _marginals(*generate_corpus(SyntheticCorpusConfig(seed=0))),
         }
 

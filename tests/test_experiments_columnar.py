@@ -1,16 +1,19 @@
 """The shared corpus cache over a multi-shard columnar corpus.
 
-The experiment presets fit in one shard at ``SHARD_SIZE``, so these
-tests drive :mod:`repro.experiments._corpus` with a smaller shard size
-to cover what only shows with several shards: memory-cache identity of
-a multi-shard corpus, warm replays that stream shard by shard, and disk
-invalidation of every shard and the aggregates entry.
+The fast preset fits in one shard at ``SHARD_SIZE``, so these tests
+drive :mod:`repro.experiments._corpus` with a smaller shard size (or a
+larger venue scale) to cover what only shows with several shards:
+memory-cache identity of a multi-shard corpus, warm replays that stream
+shard by shard, disk invalidation of every shard and the aggregates
+entry, and E3 reading a streamed corpus without reloading its shards.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
+from repro.bibliometrics import shardgen
 from repro.bibliometrics.columnar import SHARD_ARTIFACT_KIND
 from repro.bibliometrics.shardscan import AGGREGATES_ARTIFACT_KIND
 from repro.experiments import _corpus
@@ -20,6 +23,7 @@ from repro.experiments._corpus import (
     shared_aggregates_from_config,
     shared_columnar_corpus_from_config,
 )
+from repro.experiments.e03_agenda_concentration import E3Spec, run as run_e3
 from repro.experiments.spec import CorpusParams
 
 #: Two years of the stock panel (880 papers) cut into three shards.
@@ -86,3 +90,30 @@ class TestColumnarCaching:
         assert not list(tmp_path.rglob("*.jsonl"))
         shared_aggregates_from_config(SHARDED)
         assert len(counted_generator) == 2
+
+
+class TestE3StreamedRooms:
+    def test_each_shard_loads_at_most_once(self, tmp_path, monkeypatch):
+        # venue_scale 2.3 puts the fast preset's 10,120 papers in two
+        # SHARD_SIZE shards; with a disk cache the corpus streams, so
+        # every shard E3 touches is decoded from the cache again.
+        spec = E3Spec(corpus=CorpusParams(venue_scale=2.3))
+        config = _corpus.corpus_config_from_params(spec.seed, spec.corpus)
+        configure_corpus_cache(str(tmp_path))
+        corpus = shared_columnar_corpus_from_config(config)
+        assert corpus.n_shards == 2 and corpus.max_resident == 1
+        shared_aggregates_from_config(config)
+
+        loads = Counter()
+        real = shardgen.decode_shard
+
+        def counting(records):
+            shard = real(records)
+            loads[shard.index] += 1
+            return shard
+
+        monkeypatch.setattr(shardgen, "decode_shard", counting)
+        result = run_e3(spec)
+        assert result.checks
+        assert loads, "E3 read no shard: the probe is not on the load path"
+        assert max(loads.values()) == 1, dict(loads)

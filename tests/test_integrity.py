@@ -14,6 +14,8 @@ The robustness contract under test:
   right kind.
 """
 
+import errno
+import io
 import json
 import shutil
 
@@ -58,6 +60,50 @@ def flip_byte(path, offset=None):
 
 def shard_entries(cache_dir):
     return sorted((cache_dir / "corpus-shard").glob("*.jsonl"))
+
+
+class _TornWriter:
+    """A text file that fills the disk half-way through one write."""
+
+    def __init__(self, handle, marker):
+        self._handle = handle
+        self._marker = marker
+
+    def write(self, data):
+        if self._marker in data:
+            self._handle.write(data[: len(data) // 2])
+            self._handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+@pytest.fixture
+def torn_write_of(monkeypatch):
+    """Make any text write containing ``marker`` fail part-way.
+
+    Patches ``io.open``, through which both ``open``-by-path and
+    ``os.fdopen`` go, so the crash lands wherever the writer puts its
+    bytes: in place, or in a temp file.
+    """
+    real_open = io.open
+
+    def arm(marker):
+        def torn_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            return _TornWriter(handle, marker) if "w" in mode else handle
+
+        monkeypatch.setattr(io, "open", torn_open)
+
+    return arm
 
 
 class TestCorruptThenRepairRoundTrip:
@@ -297,6 +343,17 @@ class TestSnapshotRoundTrip:
         export_snapshot(snap, corpus_config(), tag="second", force=True)
         assert load_manifest(snap)["tag"] == "second"
 
+    def test_failed_forced_reexport_keeps_the_old_manifest(
+        self, tmp_path, torn_write_of
+    ):
+        snap = tmp_path / "snap"
+        export_snapshot(snap, corpus_config(), tag="first")
+        torn_write_of('"manifest_sha256"')
+        with pytest.raises(OSError):
+            export_snapshot(snap, corpus_config(), tag="second", force=True)
+        assert load_manifest(snap)["tag"] == "first"
+        assert not list(snap.rglob("*.tmp"))
+
 
 class TestSnapshotTamperDetection:
     @pytest.fixture()
@@ -475,6 +532,23 @@ class TestCli:
         assert code == 1
         assert err.startswith("integrity error:")
         assert len(err.strip().splitlines()) == 1
+
+    def test_failed_corpus_manifest_rewrite_keeps_the_old_one(
+        self, capsys, tmp_path, torn_write_of
+    ):
+        out_dir = tmp_path / "run"
+        argv = ("corpus", "generate", str(out_dir), "--papers", "400",
+                "--shard-size", "100", "--start-year", "2016",
+                "--end-year", "2025")
+        code, _, _ = self.run_cli(capsys, *argv)
+        assert code == 0
+        before = (out_dir / "manifest.json").read_text()
+        torn_write_of('"shard_sizes"')
+        with pytest.raises(OSError):
+            self.run_cli(capsys, *argv)
+        assert (out_dir / "manifest.json").read_text() == before
+        assert json.loads(before)["n_papers"] == 400
+        assert not list(out_dir.glob("*.tmp"))
 
     def test_legacy_corpus_spelling_still_generates(self, capsys, tmp_path):
         out_dir = tmp_path / "legacy"
