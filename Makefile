@@ -99,11 +99,13 @@ bench-gate-smoke:
 		--ledger .bench-smoke/ledger.json
 	rm -rf .bench-smoke
 
-# Shard-parallel corpus generation end to end: generate a 10^4-paper
-# columnar corpus at workers=2 through the CLI, re-derive its
+# Shard-parallel corpus generation and scan end to end: generate a
+# 10^4-paper columnar corpus at workers=2 through the CLI, re-derive its
 # fingerprint sequentially in-process, then replay the warm shard cache
 # streamed — all three fingerprints must agree, proving worker-count
-# and cache-state invariance.
+# and cache-state invariance.  The streamed corpus is then scanned at
+# workers=1 and workers=2 (equal records required), and the scan's
+# linear-time bound on adversarial near-miss text is asserted.
 corpus-smoke:
 	rm -rf .corpus-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro corpus .corpus-smoke/run \
@@ -118,8 +120,13 @@ corpus-smoke:
 		warm = generate_columnar_corpus(config, cache_dir='.corpus-smoke/shards', stream=True); \
 		assert warm.fingerprint() == sequential, 'warm-cache drift'; \
 		assert warm.resident_shards() <= 1, 'streaming held >1 shard'; \
+		from repro.bibliometrics.shardscan import scan_corpus; \
+		one = scan_corpus(warm, workers=1).to_records(); \
+		assert scan_corpus(warm, workers=2).to_records() == one, 'scan width drift'; \
+		assert one[0]['n_papers'] == len(warm), 'scan missed papers'; \
 		print('corpus-smoke ok: ' + sequential)"
 	rm -rf .corpus-smoke
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q benchmarks/bench_scan_adversarial.py
 
 # The self-healing data plane end to end: the integrity test suite
 # (damage taxonomy, corrupt-then-repair round trips, snapshot tamper

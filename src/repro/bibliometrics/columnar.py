@@ -120,6 +120,12 @@ class TextColumn:
         for i in range(len(self)):
             yield blob[offsets[i]:offsets[i + 1]]
 
+    def strings(self, lo: int, hi: int) -> list[str]:
+        """Strings ``lo .. hi - 1``, cut with one offsets read."""
+        blob = self.blob
+        bounds = self.offsets[lo:hi + 1].tolist()
+        return [blob[start:end] for start, end in zip(bounds, bounds[1:])]
+
     @property
     def nbytes(self) -> int:
         """Approximate resident size (UTF-8 blob + offsets)."""
@@ -182,11 +188,19 @@ class ColumnarShard:
 
     def full_text(self, local: int) -> str:
         """Title + abstract + body of local paper ``local``."""
-        return "\n\n".join(
-            part
-            for part in (self.title[local], self.abstract[local], self.body[local])
-            if part
-        )
+        return self.full_texts(local, local + 1)[0]
+
+    def full_texts(self, lo: int, hi: int) -> list[str]:
+        """:meth:`full_text` of local papers ``lo .. hi - 1``, cut from
+        the text columns' buffers."""
+        return [
+            "\n\n".join(filter(None, parts))
+            for parts in zip(
+                self.title.strings(lo, hi),
+                self.abstract.strings(lo, hi),
+                self.body.strings(lo, hi),
+            )
+        ]
 
     def human_families(self, local: int) -> tuple[str, ...]:
         """Ground-truth human families planted in local paper ``local``."""

@@ -97,12 +97,16 @@ class Corpus:
         self._papers: dict[str, Paper] = {}
         self._authors: dict[str, Author] = {}
         self._venues: dict[str, Venue] = {}
+        # The papers in id order, sorted on first iteration after a change.
+        self._sorted: list[Paper] | None = None
 
     def __len__(self) -> int:
         return len(self._papers)
 
     def __iter__(self) -> Iterator[Paper]:
-        return iter(sorted(self._papers.values(), key=lambda p: p.paper_id))
+        if self._sorted is None:
+            self._sorted = sorted(self._papers.values(), key=lambda p: p.paper_id)
+        return iter(self._sorted)
 
     # -- mutation ----------------------------------------------------------
 
@@ -128,6 +132,7 @@ class Corpus:
         if missing:
             raise ValueError(f"unknown authors: {missing}")
         self._papers[paper.paper_id] = paper
+        self._sorted = None
 
     # -- lookups -----------------------------------------------------------
 

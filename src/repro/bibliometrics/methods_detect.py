@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -351,11 +352,12 @@ def _look_up(heads, lengths, tables) -> tuple[np.ndarray, np.ndarray]:
 class LexiconScanner:
     """Single-pass multi-family phrase scanner over an ASCII lexicon.
 
-    Each candidate token is looked up in the lexicon's
-    :class:`FirstWordIndex`: a hash from the leading word of every
-    phrase (plus a small prefix table for stem-wildcard first words like
-    ``ethnograph*``) to the families whose phrases could start there.
-    Only candidate positions pay an anchored per-family ``match`` call.
+    Each distinct candidate token is looked up once per call in the
+    lexicon's :class:`FirstWordIndex`: a hash from the leading word of
+    every phrase (plus a small prefix table for stem-wildcard first
+    words like ``ethnograph*``) to the families whose phrases could
+    start there.  Only candidate positions pay an anchored per-family
+    ``match`` call.
     Each family keeps a resume offset so its matches stay
     non-overlapping, exactly as a per-family ``finditer`` would produce.
 
@@ -433,17 +435,21 @@ class LexiconScanner:
         stems_get = self.index.stems.get
         stem_lengths = self.index.stem_lengths
         patterns = self._family_patterns
-        # Per-family resume offset: a family's next match must start at
-        # or after the end of its previous one (finditer semantics).
-        resume = dict.fromkeys(self.families, 0)
-        hits: list[tuple[int, int, str]] = []
-        for start, token in tokens:
+        # The families a token can start, resolved once per distinct token.
+        families_of = dict.fromkeys(map(itemgetter(1), tokens))
+        for token in families_of:
             families = exact_get(token, ())
             for length in stem_lengths:
                 if length > len(token):
                     break
                 families += stems_get(token[:length], ())
-            for family in families:
+            families_of[token] = families
+        # Per-family resume offset: a family's next match must start at
+        # or after the end of its previous one (finditer semantics).
+        resume = dict.fromkeys(self.families, 0)
+        hits: list[tuple[int, int, str]] = []
+        for start, token in tokens:
+            for family in families_of[token]:
                 if start < resume[family]:
                     continue
                 hit = patterns[family].match(text, start)

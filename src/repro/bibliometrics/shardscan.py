@@ -356,7 +356,7 @@ def scan_shard(
     for lo in range(0, shard.n_papers, BLOCK_PAPERS):
         hi = min(lo + BLOCK_PAPERS, shard.n_papers)
         family_counts, human[lo:hi], detected[lo:hi] = _classify_block(
-            [shard.full_text(local) for local in range(lo, hi)]
+            shard.full_texts(lo, hi)
         )
         for family, count in family_counts:
             aggregates.family_mentions[family] += count
@@ -397,15 +397,18 @@ def scan_shard(
                 bucket = aggregates.sector_slots[venue_id] = Counter()
             bucket[sector] += int(flat[index])
 
-        depth = np.bincount(shard.author_values)
-        for author_index in np.nonzero(depth)[0]:
-            aggregates.author_papers[int(author_index)] += int(depth[author_index])
+        aggregates.author_papers.update(_nonzero_counts(shard.author_values))
 
     if shard.ref_values.size:
-        cited = np.bincount(shard.ref_values)
-        for paper_index in np.nonzero(cited)[0]:
-            aggregates.citations[int(paper_index)] += int(cited[paper_index])
+        aggregates.citations.update(_nonzero_counts(shard.ref_values))
     return aggregates
+
+
+def _nonzero_counts(values: np.ndarray) -> dict[int, int]:
+    """``value -> occurrences`` of non-negative ints, ascending by value."""
+    counts = np.bincount(values)
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), counts[present].tolist()))
 
 
 #: Fault-injection site every shard scan consults (see :func:`scan_corpus`).

@@ -37,8 +37,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.errors import IntegrityError
-from repro.io.artifacts import body_digest
-from repro.io.jsonl import read_jsonl, write_jsonl, write_text_atomic
+from repro.io.artifacts import lines_digest
+from repro.io.jsonl import jsonl_line, read_jsonl, write_jsonl_lines, write_text_atomic
 
 __all__ = [
     "MANIFEST_NAME",
@@ -141,9 +141,9 @@ def export_snapshot(
     shard_entries: list[dict] = []
     fingerprints: list[str] = []
     for shard in corpus.iter_shards():
-        records = encode_shard(shard)
-        digest = body_digest(records)
-        write_jsonl(objects / f"{digest}.jsonl", records)
+        lines = [jsonl_line(record) for record in encode_shard(shard)]
+        digest = lines_digest(lines)
+        write_jsonl_lines(objects / f"{digest}.jsonl", lines)
         fingerprints.append(shard.fingerprint())
         shard_entries.append({
             "index": shard.index,

@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import CacheLockTimeout, IntegrityError
-from repro.io.jsonl import read_jsonl, write_jsonl
+from repro.io.jsonl import jsonl_line, read_jsonl, write_jsonl_lines
 
 try:  # pragma: no cover - fcntl is always present on the POSIX targets
     import fcntl
@@ -69,6 +69,7 @@ __all__ = [
     "ArtifactCache",
     "artifact_key",
     "body_digest",
+    "lines_digest",
 ]
 
 #: Bump to invalidate every existing cache entry (serialization change).
@@ -115,14 +116,20 @@ def body_digest(records: Iterable[dict]) -> str:
     """SHA-256 over the canonical JSONL encoding of ``records``.
 
     Byte-identical to what :func:`repro.io.jsonl.write_jsonl` lands on
-    disk for the same records (same canonical ``json.dumps``, one
-    ``\\n`` per line) — so a digest recomputed from a file's raw bytes
-    after the header line can be compared directly against one computed
-    from in-memory records, with no re-parse in between.
+    disk for the same records (the same
+    :func:`~repro.io.jsonl.jsonl_line` lines) — so a digest recomputed
+    from a file's raw bytes after the header line can be compared
+    directly against one computed from in-memory records, with no
+    re-parse in between.
     """
+    return lines_digest(map(jsonl_line, records))
+
+
+def lines_digest(lines: Iterable[str]) -> str:
+    """:func:`body_digest` of records already encoded by
+    :func:`~repro.io.jsonl.jsonl_line`."""
     digest = hashlib.sha256()
-    for record in records:
-        line = json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+    for line in lines:
         digest.update(line.encode("utf-8"))
     return digest.hexdigest()
 
@@ -298,17 +305,18 @@ class ArtifactCache:
         """
         from repro.io.jsonl import _check_fault
 
-        body = list(records)
+        # Each record is encoded once: the digest and the file share the lines.
+        body = [jsonl_line(record) for record in records]
         header = {
             "artifact": kind,
             "version": self.version,
             "config": config,
             "count": len(body),
-            "sha256": body_digest(body),
+            "sha256": lines_digest(body),
         }
         path = self.path_for(kind, config)
         _check_fault("artifacts:put")
-        write_jsonl(path, [header] + body)
+        write_jsonl_lines(path, [jsonl_line(header)] + body)
         _metrics().count("artifacts.writes")
         # Completed entries are offered to the chaos injector so tests
         # can bit-rot or truncate them deterministically post-rename.

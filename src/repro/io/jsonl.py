@@ -54,11 +54,15 @@ def _check_fault(point: str) -> None:
         injector.check(point)
 
 
-def _dump_lines(handle, records: Iterable[dict]) -> int:
+def jsonl_line(record: dict) -> str:
+    """``record`` as the line the writers here put on disk, newline included."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def _dump_lines(handle, lines: Iterable[str]) -> int:
     count = 0
-    for record in records:
-        handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-        handle.write("\n")
+    for line in lines:
+        handle.write(line)
         count += 1
     return count
 
@@ -103,8 +107,14 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     same destination each land a complete file (last rename wins)
     instead of interleaving into a shared scratch file.
     """
+    return write_jsonl_lines(path, map(jsonl_line, records))
+
+
+def write_jsonl_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """:func:`write_jsonl` for records already encoded by :func:`jsonl_line`,
+    for callers that also hash the encoded lines."""
     with _atomic_replace(Path(path), "io:write_jsonl") as handle:
-        count = _dump_lines(handle, records)
+        count = _dump_lines(handle, lines)
     _metrics().count("io.jsonl.rows_written", count)
     return count
 
@@ -132,7 +142,7 @@ def append_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a", encoding="utf-8") as handle:
         _check_fault("io:append_jsonl")
-        count = _dump_lines(handle, records)
+        count = _dump_lines(handle, map(jsonl_line, records))
         handle.flush()
         os.fsync(handle.fileno())
     _metrics().count("io.jsonl.rows_written", count)

@@ -69,6 +69,17 @@ class TestQueries:
         assert corpus.topic_counts()["routing"] == 1
         assert corpus.topic_counts(venue_id="v2") == {"community-networks": 1}
 
+    def test_iteration_stays_in_id_order_across_additions(self, corpus):
+        expected = ["p1", "p2"]
+        before = iter(corpus)  # taken before the additions: keeps its snapshot
+        for paper_id in ("p0", "p9", "p10"):
+            assert [paper.paper_id for paper in corpus] == expected
+            corpus.add_paper(Paper(paper_id, "t", "a", "v1", 2022))
+            expected = sorted(expected + [paper_id])
+        assert [paper.paper_id for paper in corpus] == ["p0", "p1", "p10", "p2", "p9"]
+        assert [paper.paper_id for paper in corpus.papers(year=2022)] == ["p0", "p10", "p9"]
+        assert [paper.paper_id for paper in before] == ["p1", "p2"]
+
 
 class TestSerialization:
     def test_roundtrip(self, corpus):

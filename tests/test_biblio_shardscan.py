@@ -692,3 +692,55 @@ class TestBlockMatcherEquivalence:
         oracle = per_paper_fold(shard, corpus.vocab)
         assert scanned.positionality == oracle.positionality
         assert sum(cells["detected"] for cells in scanned.positionality.values()) == 1
+
+
+def per_paper_records(shard, vocab) -> list[dict]:
+    """Every field of a shard's scan, folded paper by paper, as records.
+
+    The text fields come from :func:`per_paper_fold`.  The keyed and id
+    maps are counted per paper, then listed in the order the scan
+    defines: venue index, then topic or sector index, for
+    ``topic_papers``/``venue_topics``/``sector_slots``, and ascending
+    global index for ``author_papers``/``citations``.
+    """
+    folded = per_paper_fold(shard, vocab)
+    folded.venue_kinds = {venue.venue_id: venue.kind for venue in vocab.venues}
+    venue_ids = list(folded.venue_kinds)
+    venue_topics, sector_slots = Counter(), Counter()
+    author_papers, citations = Counter(), Counter()
+    for local in range(shard.n_papers):
+        venue = int(shard.venue_idx[local])
+        venue_topics[venue, int(shard.topic_idx[local])] += 1
+        for author in shard.authors_of(local).tolist():
+            sector_slots[venue, int(vocab.author_sector_idx[author])] += 1
+            author_papers[author] += 1
+        citations.update(shard.refs_of(local).tolist())
+    for (venue, topic), count in sorted(venue_topics.items()):
+        folded.topic_papers[vocab.topics[topic]] += count
+        bucket = folded.venue_topics.setdefault(venue_ids[venue], Counter())
+        bucket[vocab.topics[topic]] += count
+    for (venue, sector), count in sorted(sector_slots.items()):
+        bucket = folded.sector_slots.setdefault(venue_ids[venue], Counter())
+        bucket[vocab.sectors[sector]] += count
+    folded.author_papers = Counter(dict(sorted(author_papers.items())))
+    folded.citations = Counter(dict(sorted(citations.items())))
+    return folded.to_records()
+
+
+class TestRecordOrder:
+    """Scan records equal a paper-by-paper fold's as lists, so a kernel
+    that reorders any map's keys fails here, not only in a digest."""
+
+    def test_shard_records_equal_the_per_paper_fold(self, corpus):
+        assert corpus.n_shards > 1
+        for shard in corpus.iter_shards():
+            assert scan_shard(shard, corpus.vocab).to_records() == per_paper_records(
+                shard, corpus.vocab
+            ), shard.index
+
+    def test_corpus_records_equal_the_folded_parts(self, corpus, aggregates):
+        parts = [
+            CorpusAggregates.from_records(per_paper_records(shard, corpus.vocab))
+            for shard in corpus.iter_shards()
+        ]
+        assert aggregates.to_records() == CorpusAggregates.merge_all(parts).to_records()

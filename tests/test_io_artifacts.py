@@ -11,7 +11,13 @@ import multiprocessing
 
 import pytest
 
-from repro.io.artifacts import ARTIFACT_FORMAT_VERSION, ArtifactCache, artifact_key
+from repro.io.artifacts import (
+    ARTIFACT_FORMAT_VERSION,
+    ArtifactCache,
+    artifact_key,
+    body_digest,
+)
+from repro.io.jsonl import write_jsonl
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
 CONFIG = {"n": 3, "name": "squares"}
@@ -71,6 +77,25 @@ class TestHitMiss:
         assert header["artifact"] == "squares"
         assert header["count"] == 3
         assert [json.loads(line) for line in lines[1:]] == squares()
+
+    def test_entry_bytes_equal_the_jsonl_writer(self, tmp_path):
+        records = squares(4) + [{"text": "naïve — ünïcode", "nested": {"b": 1, "a": [2]}}]
+        expected = b"".join(
+            (json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
+            for record in records
+        )
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            path = ArtifactCache(tmp_path / "cache").put("squares", CONFIG, records)
+        header = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        assert header["sha256"] == body_digest(records)
+        reference = tmp_path / "reference.jsonl"
+        write_jsonl(reference, [header] + records)
+        assert path.read_bytes() == reference.read_bytes()
+        assert path.read_bytes().split(b"\n", 1)[1] == expected
+        counters = metrics.snapshot()["counters"]
+        assert counters["io.jsonl.rows_written"] == len(records) + 1
+        assert counters["artifacts.writes"] == 1
 
 
 class TestCorruption:
