@@ -108,7 +108,7 @@ bench-gate-smoke:
 # linear-time bound on adversarial near-miss text is asserted.
 corpus-smoke:
 	rm -rf .corpus-smoke
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro corpus .corpus-smoke/run \
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro corpus generate .corpus-smoke/run \
 		--papers 10000 --workers 2 --shard-size 2500 \
 		--cache-dir .corpus-smoke/shards
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -c "import json; \

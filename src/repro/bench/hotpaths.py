@@ -232,9 +232,9 @@ def _run_corpus_scan(repeats: int) -> list[dict]:
 def _run_experiment_scan(repeats: int) -> list[dict]:
     """The experiment suite's columnar analytics fold, papers/second.
 
-    Measures exactly what E1/E2/E3/E12 pay on a cold corpus: one
+    Measures exactly what E1/E2/E3 pay on a cold corpus: one
     :func:`scan_corpus` pass (method classification, positionality
-    detection, venue/topic/sector/author/citation rollups) over the
+    detection, venue/topic/sector rollups) over the
     stock fast-preset experiment corpus.  Generation happens once
     outside the timed region — the series tracks the scan kernel.
     """

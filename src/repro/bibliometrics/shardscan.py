@@ -20,6 +20,10 @@ stay streamed.  The classic per-paper classification over
 that the scan's counters equal it, and the trend builders in
 :mod:`repro.bibliometrics.trends` take either set of counters.
 
+The summary holds only cells, so its size does not grow with the
+corpus; per-paper and per-author statistics (E12's count arrays, E3's
+room report) read the corpus's integer columns instead.
+
 Text is classified a block of :data:`BLOCK_PAPERS` papers at a time.
 The block's papers are joined into one string and matched in one call
 to :meth:`~repro.bibliometrics.methods_detect.LexiconScanner.scan_block`
@@ -68,13 +72,14 @@ AGGREGATES_ARTIFACT_KIND = "corpus-aggregates"
 
 #: Bump when the scan or the record layout changes meaning; older
 #: entries become unreachable and the corpus is rescanned on demand.
-AGGREGATES_SCHEMA_VERSION = 1
+#: v2 drops the per-author and per-paper count maps.
+AGGREGATES_SCHEMA_VERSION = 2
 
 #: Record-layout groups of the :class:`CorpusAggregates` fields: maps
 #: keyed by ``(venue_id, year)``, maps keyed by one id, flat counters.
 _CELL_FIELDS = ("venue_year", "positionality")
 _KEYED_FIELDS = ("venue_topics", "sector_slots")
-_COUNTER_FIELDS = ("family_mentions", "topic_papers", "author_papers", "citations")
+_COUNTER_FIELDS = ("family_mentions", "topic_papers")
 
 
 @dataclass
@@ -108,11 +113,8 @@ class CorpusAggregates:
         sector_slots: ``venue_id ->`` author-slot ``Counter`` keyed by
             author sector (E3's authorship-share input; one increment
             per byline slot, not per distinct author).
-        author_papers: Global author index ``->`` papers authored
-            (per-author depth, E12's small-N-engagement input).
-        citations: Global paper index ``->`` within-corpus citations
-            received.  Papers with zero citations are absent; fill
-            from :attr:`n_papers` when a dense vector is needed.
+
+    No map is keyed by a paper or an author (see the module docstring).
     """
 
     n_papers: int = 0
@@ -123,8 +125,6 @@ class CorpusAggregates:
     positionality: dict[tuple[str, int], Counter] = field(default_factory=dict)
     venue_topics: dict[str, Counter] = field(default_factory=dict)
     sector_slots: dict[str, Counter] = field(default_factory=dict)
-    author_papers: Counter = field(default_factory=Counter)
-    citations: Counter = field(default_factory=Counter)
 
     def update(self, other: "CorpusAggregates") -> "CorpusAggregates":
         """Add ``other`` into this summary in place; returns ``self``.
@@ -342,15 +342,13 @@ def scan_shard(
 
     The text is classified :data:`BLOCK_PAPERS` papers at a time by
     :func:`_classify_block`; everything else — the venue/year and
-    positionality cells, topic rollups, sector slot mixes, per-author
-    depth, citation counts — is folded from the layout columns with
-    vectorized ``bincount`` passes.
+    positionality cells, topic rollups, sector slot mixes — is folded
+    from the layout columns with vectorized ``bincount`` passes.
     """
     aggregates = CorpusAggregates(n_papers=shard.n_papers)
     venue_ids = [venue.venue_id for venue in vocab.venues]
     for venue in vocab.venues:
         aggregates.venue_kinds[venue.venue_id] = venue.kind
-    topics = vocab.topics
     human = np.zeros(shard.n_papers, dtype=np.int64)
     detected = np.zeros(shard.n_papers, dtype=bool)
     for lo in range(0, shard.n_papers, BLOCK_PAPERS):
@@ -362,53 +360,34 @@ def scan_shard(
             aggregates.family_mentions[family] += count
     _fold_cells(aggregates, shard, venue_ids, human >= min_mentions, detected)
 
-    n_topics = max(1, len(topics))
-    n_venues = max(1, len(venue_ids))
-    n_sectors = max(1, len(vocab.sectors))
-
-    flat = np.bincount(
-        shard.venue_idx.astype(np.int64) * n_topics + shard.topic_idx,
-        minlength=n_venues * n_topics,
+    aggregates.venue_topics = _venue_counts(
+        venue_ids, vocab.topics, shard.venue_idx, shard.topic_idx
     )
-    for index in np.nonzero(flat)[0]:
-        venue_id = venue_ids[int(index) // n_topics]
-        topic = topics[int(index) % n_topics]
-        count = int(flat[index])
-        aggregates.topic_papers[topic] += count
-        bucket = aggregates.venue_topics.get(venue_id)
-        if bucket is None:
-            bucket = aggregates.venue_topics[venue_id] = Counter()
-        bucket[topic] += count
-
-    if shard.author_values.size:
-        slot_venue = np.repeat(
-            shard.venue_idx.astype(np.int64), np.diff(shard.author_indptr)
-        )
-        slot_sector = vocab.author_sector_idx[shard.author_values]
-        flat = np.bincount(
-            slot_venue * n_sectors + slot_sector,
-            minlength=n_venues * n_sectors,
-        )
-        for index in np.nonzero(flat)[0]:
-            venue_id = venue_ids[int(index) // n_sectors]
-            sector = vocab.sectors[int(index) % n_sectors]
-            bucket = aggregates.sector_slots.get(venue_id)
-            if bucket is None:
-                bucket = aggregates.sector_slots[venue_id] = Counter()
-            bucket[sector] += int(flat[index])
-
-        aggregates.author_papers.update(_nonzero_counts(shard.author_values))
-
-    if shard.ref_values.size:
-        aggregates.citations.update(_nonzero_counts(shard.ref_values))
+    for counts in aggregates.venue_topics.values():
+        aggregates.topic_papers.update(counts)
+    aggregates.sector_slots = _venue_counts(
+        venue_ids,
+        vocab.sectors,
+        np.repeat(shard.venue_idx, np.diff(shard.author_indptr)),
+        vocab.author_sector_idx[shard.author_values],
+    )
     return aggregates
 
 
-def _nonzero_counts(values: np.ndarray) -> dict[int, int]:
-    """``value -> occurrences`` of non-negative ints, ascending by value."""
-    counts = np.bincount(values)
-    present = np.flatnonzero(counts)
-    return dict(zip(present.tolist(), counts[present].tolist()))
+def _venue_counts(
+    venue_ids: list[str], names: tuple[str, ...], venue: np.ndarray, key: np.ndarray
+) -> dict[str, Counter]:
+    """``venue_id -> Counter(name -> pairs)`` over ``(venue, key)`` index
+    pairs, in venue index order and then name index order."""
+    width = max(1, len(names))
+    flat = np.bincount(
+        venue.astype(np.int64) * width + key, minlength=max(1, len(venue_ids)) * width
+    )
+    counts: dict[str, Counter] = {}
+    for index in np.flatnonzero(flat).tolist():
+        venue_index, name = divmod(index, width)
+        counts.setdefault(venue_ids[venue_index], Counter())[names[name]] = int(flat[index])
+    return counts
 
 
 #: Fault-injection site every shard scan consults (see :func:`scan_corpus`).

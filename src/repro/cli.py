@@ -28,8 +28,7 @@ first:
 - ``corpus generate``: generate the synthetic venue corpus (the
   shard-parallel columnar generator) to JSONL files — or, with
   ``--papers``, at scale as cached shards plus a manifest (``repro
-  corpus --papers 1000000 --workers 4``; the bare ``repro corpus OUT``
-  spelling still works).
+  corpus generate OUT --papers 1000000 --workers 4``).
 - ``corpus export`` / ``corpus import``: versioned, content-addressed
   corpus snapshots — export writes a tagged directory of checksummed
   shard objects plus a self-digested manifest, import verifies every
@@ -413,7 +412,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
-    """``repro corpus --papers N``: the columnar shard-parallel path.
+    """``repro corpus generate --papers N``: the columnar shard-parallel path.
 
     Shards stream through the artifact cache (``--cache-dir``, default
     ``<output>/shards`` when an output directory is given); the corpus
@@ -422,19 +421,10 @@ def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
     """
     import time as _time
 
-    from repro.bibliometrics.shardgen import (
-        ShardedCorpusConfig,
-        generate_columnar_corpus,
-    )
+    from repro.bibliometrics.shardgen import generate_columnar_corpus
     from repro.io.jsonl import write_text_atomic
 
-    config = ShardedCorpusConfig(
-        start_year=args.start_year,
-        end_year=args.end_year,
-        seed=args.seed,
-        total_papers=args.papers,
-        shard_size=args.shard_size,
-    )
+    config = _sharded_config(args)
     cache_dir = args.cache_dir
     if cache_dir is None and args.output is not None:
         cache_dir = str(Path(args.output) / "shards")
@@ -1004,11 +994,11 @@ def build_parser() -> argparse.ArgumentParser:
     corpus_gen = corpus_sub.add_parser(
         "generate",
         help="generate the corpus (JSONL dump, or sharded columnar at "
-        "scale with --papers); `repro corpus OUT` still means this",
+        "scale with --papers)",
     )
     corpus_gen.add_argument(
         "output", nargs="?", default=None,
-        help="output directory (legacy JSONL dump; optional with --papers)",
+        help="output directory (JSONL dump; optional with --papers)",
     )
     corpus_gen.add_argument("--start-year", type=int, default=2000)
     corpus_gen.add_argument("--end-year", type=int, default=2025)
@@ -1151,35 +1141,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: ``repro corpus`` sub-subcommands; anything else after ``corpus`` is
-#: the legacy ``repro corpus [OUT] [flags]`` spelling of ``generate``.
-_CORPUS_SUBCOMMANDS = ("generate", "export", "import")
-
-
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Keep ``repro corpus OUT``-style invocations working.
-
-    ``corpus`` grew ``generate``/``export``/``import`` sub-subcommands;
-    when the token after ``corpus`` is not one of them (a directory, a
-    flag like ``--papers``), splice ``generate`` in so existing scripts
-    and Makefiles parse unchanged.  Bare ``repro corpus`` and ``repro
-    corpus --help`` are left alone so argparse can show the subcommand
-    listing.
-    """
-    if argv[:1] != ["corpus"]:
-        return argv
-    rest = argv[1:]
-    if not rest or rest[0] in _CORPUS_SUBCOMMANDS or rest[0] in ("-h", "--help"):
-        return argv
-    return ["corpus", "generate", *rest]
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(
-        _normalize_argv(sys.argv[1:] if argv is None else list(argv))
-    )
+    args = parser.parse_args(argv)
     from repro.errors import IntegrityError, SpecError
 
     try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.bibliometrics.demographics import room_report
+from repro.bibliometrics.demographics import room_reports
 from repro.bibliometrics.metrics import hhi, shannon_diversity
 from repro.experiments._corpus import (
     corpus_config_from_params,
@@ -129,11 +129,12 @@ def run(
         ],
         title="E3b: who is in the room (flagship venue per kind)",
     )
-    classic = shared_columnar_corpus_from_config(config).to_corpus()
+    reports = room_reports(
+        shared_columnar_corpus_from_config(config), flagship.values()
+    )
     rooms = {}
     for kind, venue_id in sorted(flagship.items()):
-        room = room_report(classic, venue_id)
-        rooms[kind] = room
+        room = rooms[kind] = reports[venue_id]
         room_table.add_row(
             [
                 venue_id,

@@ -26,7 +26,7 @@ from typing import ClassVar
 from repro.bibliometrics.metrics import gini, top_k_share
 from repro.experiments._corpus import (
     corpus_config_from_params,
-    shared_aggregates_from_config,
+    shared_columnar_corpus_from_config,
 )
 from repro.experiments.registry import ExperimentResult, make_result
 from repro.experiments.spec import (
@@ -102,13 +102,12 @@ def run(
     for k, share in traffic_shares:
         traffic_table.add_row([k, share])
 
-    aggregates = shared_aggregates_from_config(
+    corpus = shared_columnar_corpus_from_config(
         corpus_config_from_params(spec.seed, spec.corpus)
     )
-    counts = [
-        aggregates.citations.get(i, 0) for i in range(aggregates.n_papers)
-    ]
-    depth_counts = list(aggregates.author_papers.values())
+    counts = corpus.citation_counts_array()
+    per_author = corpus.papers_per_author_array()
+    depth_counts = per_author[per_author > 0]
     n = len(counts)
     citation_table = Table(
         ["metric", "value"], title="E12b: citation concentration"

@@ -8,6 +8,7 @@ report.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -34,6 +35,7 @@ INCUMBENT_ASN = 1
 ALT_TRANSIT_ASN = 2
 SHELL_ASN = 64500
 FIRST_SMALL_ASN = 10
+RESERVED_ASNS = frozenset({TIER1_ASN, INCUMBENT_ASN, ALT_TRANSIT_ASN, SHELL_ASN})
 
 
 @dataclass
@@ -98,8 +100,9 @@ def build_mandatory_peering_scenario(
     graph.add_customer(provider=TIER1_ASN, customer=ALT_TRANSIT_ASN)
 
     ixp = IXP("ix-home", name=f"IX-{country}", location=home)
-    for i in range(n_small_isps):
-        asn = FIRST_SMALL_ASN + i
+    # Small ISPs count up from FIRST_SMALL_ASN past the reserved ASNs.
+    small_asns = (a for a in itertools.count(FIRST_SMALL_ASN) if a not in RESERVED_ASNS)
+    for i, asn in zip(range(n_small_isps), small_asns):
         jitter = Location(
             rng.uniform(-200, 200), rng.uniform(-200, 200),
             region="latin-america", country=country,

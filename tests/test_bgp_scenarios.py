@@ -41,6 +41,29 @@ class TestMandatoryPeeringScenario:
         with pytest.raises(ValueError):
             build_mandatory_peering_scenario(ixp_membership_rate=-0.1)
 
+    def test_declared_small_isp_maximum_builds(self):
+        # The 91st small ISP used to land on the tier-1's AS100.
+        from dataclasses import fields
+
+        from repro.experiments.registry import spec_class
+
+        maxima = {
+            f.metadata["repro.spec"]["maximum"]
+            for experiment_id in ("E6", "E12")
+            for f in fields(spec_class(experiment_id))
+            if f.name == "n_small_isps"
+        }
+        assert maxima
+        for n in sorted({91} | maxima):
+            scenario = build_mandatory_peering_scenario(n_small_isps=n, seed=0)
+            assert len(scenario.graph.asns()) == n + 3
+            assert scenario.graph.validate_hierarchy() == []
+
+    def test_small_isp_asns_unchanged_below_the_tier1(self):
+        scenario = build_mandatory_peering_scenario(n_small_isps=91, seed=0)
+        small = [a for a in scenario.graph.asns() if a not in (1, 2, 100)]
+        assert small == list(range(10, 100)) + [101]
+
 
 class TestMandatoryPeeringStudy:
     @pytest.fixture(scope="class")

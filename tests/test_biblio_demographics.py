@@ -1,7 +1,16 @@
 """Tests for repro.bibliometrics.demographics."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bibliometrics.columnar import (
+    ColumnarCorpus,
+    ColumnarShard,
+    CorpusVocab,
+    TextColumn,
+)
 from repro.bibliometrics.corpus import Author, Corpus, Paper, Venue
 from repro.bibliometrics.demographics import (
     author_retention,
@@ -9,8 +18,10 @@ from repro.bibliometrics.demographics import (
     newcomer_share,
     region_mix,
     room_report,
+    room_reports,
     sector_mix,
 )
+from repro.bibliometrics.shardgen import ShardedCorpusConfig, generate_columnar_corpus
 
 
 @pytest.fixture
@@ -129,3 +140,117 @@ class TestRoomReport:
             networking["global_south_slot_share"]
             < hci["global_south_slot_share"]
         )
+
+
+def hand_corpus(papers, authors) -> ColumnarCorpus:
+    """A one-shard columnar corpus over venues ``v0``/``v1``.
+
+    ``papers`` are ``(venue index, year, author indices)``; ``authors``
+    are ``(sector, region)``, all in ``v0``'s pool.
+    """
+    sectors = tuple(sorted({sector for sector, _ in authors}))
+    regions = tuple(sorted({region for _, region in authors}))
+    zeros = np.zeros(len(authors), dtype=np.int64)
+    vocab = CorpusVocab(
+        venues=(Venue("v0", "V0"), Venue("v1", "V1")),
+        topics=("t",),
+        author_offsets=np.array([0, len(authors), len(authors)]),
+        author_sector_idx=np.array([sectors.index(s) for s, _ in authors]),
+        author_region_idx=np.array([regions.index(r) for _, r in authors]),
+        author_given_idx=zeros,
+        author_surname_idx=zeros,
+        author_affil_num=zeros,
+        sectors=sectors,
+        regions=regions,
+        given_names=("A",),
+        surnames=("B",),
+    )
+    n = len(papers)
+    lengths = [len(slots) for _, _, slots in papers]
+    text = TextColumn.from_strings(["t"] * n)
+    shard = ColumnarShard(
+        index=0,
+        paper_offset=0,
+        year=np.array([year for _, year, _ in papers], dtype=np.int32),
+        venue_idx=np.array([venue for venue, _, _ in papers], dtype=np.int16),
+        topic_idx=np.zeros(n, dtype=np.int16),
+        author_indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+        author_values=np.array(
+            [a for _, _, slots in papers for a in slots], dtype=np.int64
+        ),
+        ref_indptr=np.zeros(n + 1, dtype=np.int64),
+        ref_values=np.zeros(0, dtype=np.int64),
+        human_mask=np.zeros(n, dtype=np.uint16),
+        positionality=np.zeros(n, dtype=np.uint8),
+        title=text,
+        abstract=text,
+        body=text,
+    )
+    return ColumnarCorpus(vocab, [n], lambda index: shard)
+
+
+class TestAdaptersAgree:
+    """The Corpus adapter and the column adapter run one implementation;
+    these pin their inputs together."""
+
+    def test_hand_built_ties_and_authorless_paper(self):
+        a, b, c = 0, 1, 2
+        columnar = hand_corpus(
+            [
+                (1, 2019, (c,)),    # the corpus's first year, at v1 only
+                (0, 2020, (b, b)),  # b: two slots, one paper, first
+                (0, 2020, (a,)),
+                (0, 2021, (a,)),    # a ties b at two slots
+                (0, 2021, ()),      # no authors, still a paper
+            ],
+            [("university", "europe"), ("hyperscaler", "africa"),
+             ("operator", "latin-america")],
+        )
+        expected = {
+            "v0": {
+                # 2020 counts (the venue's first year is not skipped),
+                # with both of b's slots new: 3/3; 2021: 0/1.
+                "mean_newcomer_share": 0.5,
+                "sector_gini": 0.0,
+                "region_gini": 0.0,
+                "hyperscaler_slot_share": 0.5,
+                "global_south_slot_share": 0.5,
+                # The tie goes to b (first slot), not a (lower index):
+                # one of four papers.
+                "gatekeeping_index": 0.25,
+            },
+            "v1": {
+                "mean_newcomer_share": 0.0,
+                "sector_gini": 0.0,
+                "region_gini": 0.0,
+                "hyperscaler_slot_share": 0.0,
+                "global_south_slot_share": 1.0,
+                "gatekeeping_index": 1.0,
+            },
+        }
+        classic = columnar.to_corpus()
+        assert room_reports(columnar, ["v0", "v1"]) == expected
+        assert {v: room_report(classic, v) for v in expected} == expected
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        start_year=st.integers(2000, 2020),
+        span=st.integers(0, 3),
+        pool=st.integers(1, 30),
+        papers=st.integers(1, 600),
+        shard_size=st.integers(50, 400),
+    )
+    def test_column_path_equals_corpus_path(
+        self, seed, start_year, span, pool, papers, shard_size
+    ):
+        columnar = generate_columnar_corpus(ShardedCorpusConfig(
+            start_year=start_year, end_year=start_year + span, seed=seed,
+            total_papers=papers, shard_size=shard_size,
+            authors_per_venue_pool=pool,
+        ))
+        classic = columnar.to_corpus()
+        venues = [venue.venue_id for venue in columnar.vocab.venues]
+        assert room_reports(columnar, venues) == {
+            venue_id: room_report(classic, venue_id) for venue_id in venues
+        }

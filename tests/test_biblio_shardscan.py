@@ -141,23 +141,6 @@ class TestScanOracle:
                 bucket[legacy.author(author_id).sector] += 1
         assert aggregates.sector_slots == oracle
 
-    def test_author_papers_match_papers_per_author(
-        self, corpus, aggregates, legacy
-    ):
-        observed = {
-            corpus.vocab.author_id(index): count
-            for index, count in aggregates.author_papers.items()
-        }
-        assert observed == dict(legacy.papers_per_author())
-
-    def test_citations_match_citation_counts(self, aggregates, legacy):
-        paper_ids = [paper.paper_id for paper in legacy]
-        observed = {
-            paper_ids[index]: count
-            for index, count in aggregates.citations.items()
-        }
-        assert observed == dict(legacy.citation_counts())
-
 
 class TestTrendsOracle:
     """The from-counts builders must equal the classic builders verbatim."""
@@ -256,8 +239,7 @@ class TestMergeAlgebra:
         assert merged.venue_year and merged.family_mentions
         assert merged.topic_papers and merged.venue_kinds
         assert merged.positionality and merged.venue_topics
-        assert merged.sector_slots and merged.author_papers
-        assert merged.citations
+        assert merged.sector_slots
 
 
 def _text_shard(titles, abstracts, bodies, venue_idx=None, years=None, truth=None):
@@ -331,7 +313,7 @@ class TestDegenerateShards:
         assert scanned.n_papers == 0
         assert not scanned.venue_year
         assert not scanned.family_mentions
-        assert not scanned.author_papers and not scanned.citations
+        assert not scanned.venue_topics and not scanned.sector_slots
         # venue_kinds is vocabulary, not observation — it is filled even
         # for an empty shard, and merging adds nothing but those kinds.
         assert scanned.venue_kinds == aggregates.venue_kinds
@@ -697,24 +679,20 @@ class TestBlockMatcherEquivalence:
 def per_paper_records(shard, vocab) -> list[dict]:
     """Every field of a shard's scan, folded paper by paper, as records.
 
-    The text fields come from :func:`per_paper_fold`.  The keyed and id
-    maps are counted per paper, then listed in the order the scan
-    defines: venue index, then topic or sector index, for
-    ``topic_papers``/``venue_topics``/``sector_slots``, and ascending
-    global index for ``author_papers``/``citations``.
+    The text fields come from :func:`per_paper_fold`.  The keyed maps
+    are counted per paper, then listed in the order the scan defines:
+    venue index, then topic or sector index, for
+    ``topic_papers``/``venue_topics``/``sector_slots``.
     """
     folded = per_paper_fold(shard, vocab)
     folded.venue_kinds = {venue.venue_id: venue.kind for venue in vocab.venues}
     venue_ids = list(folded.venue_kinds)
     venue_topics, sector_slots = Counter(), Counter()
-    author_papers, citations = Counter(), Counter()
     for local in range(shard.n_papers):
         venue = int(shard.venue_idx[local])
         venue_topics[venue, int(shard.topic_idx[local])] += 1
         for author in shard.authors_of(local).tolist():
             sector_slots[venue, int(vocab.author_sector_idx[author])] += 1
-            author_papers[author] += 1
-        citations.update(shard.refs_of(local).tolist())
     for (venue, topic), count in sorted(venue_topics.items()):
         folded.topic_papers[vocab.topics[topic]] += count
         bucket = folded.venue_topics.setdefault(venue_ids[venue], Counter())
@@ -722,8 +700,6 @@ def per_paper_records(shard, vocab) -> list[dict]:
     for (venue, sector), count in sorted(sector_slots.items()):
         bucket = folded.sector_slots.setdefault(venue_ids[venue], Counter())
         bucket[vocab.sectors[sector]] += count
-    folded.author_papers = Counter(dict(sorted(author_papers.items())))
-    folded.citations = Counter(dict(sorted(citations.items())))
     return folded.to_records()
 
 

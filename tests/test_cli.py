@@ -84,7 +84,7 @@ class TestCorpusCommand:
     def test_writes_jsonl(self, tmp_path, capsys):
         code = main(
             [
-                "corpus", str(tmp_path), "--start-year", "2024",
+                "corpus", "generate", str(tmp_path), "--start-year", "2024",
                 "--end-year", "2024", "--seed", "1",
             ]
         )

@@ -8,8 +8,10 @@ shard by shard, disk invalidation of every shard and the aggregates
 entry, and E3 reading a streamed corpus without reloading its shards.
 """
 
+import ast
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +119,19 @@ class TestE3StreamedRooms:
         assert result.checks
         assert loads, "E3 read no shard: the probe is not on the load path"
         assert max(loads.values()) == 1, dict(loads)
+
+
+def test_no_experiment_or_service_materializes_papers():
+    # ``to_corpus()`` builds every Paper; experiments and the result
+    # service read the corpus's columns and aggregates instead.
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    callers = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for package in ("experiments", "serve")
+        for path in sorted((src / package).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_corpus"
+    ]
+    assert callers == []

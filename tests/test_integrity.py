@@ -549,9 +549,3 @@ class TestCli:
         assert (out_dir / "manifest.json").read_text() == before
         assert json.loads(before)["n_papers"] == 400
         assert not list(out_dir.glob("*.tmp"))
-
-    def test_legacy_corpus_spelling_still_generates(self, capsys, tmp_path):
-        out_dir = tmp_path / "legacy"
-        code, out, _ = self.run_cli(capsys, "corpus", str(out_dir))
-        assert code == 0
-        assert (out_dir / "papers.jsonl").exists()
