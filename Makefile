@@ -21,13 +21,11 @@ check:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q benchmarks/e2e/test_e2e_bench.py
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro experiments E1 E13 --seed 0 --retries 1 --workers 2 --json-summary -
 
-# The crash-safety net end to end: the chaos test suite (worker kills,
-# poison-task quarantine, heartbeat escalation, disk faults), shard
-# generation under the same supervisor, then a supervised parallel CLI
-# run with the supervision flags exercised.
+# The crash-safety net end to end: a supervised parallel CLI run with
+# the supervision flags exercised.  The chaos tests (worker kills,
+# poison-task quarantine, heartbeat escalation, disk faults) run in
+# tier-1 under `make check`.
 chaos-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest tests/test_runtime_chaos.py \
-		"tests/test_biblio_shardgen.py::TestWorkerInvariance" -q
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro experiments E4 E5 E6 E10 --seed 0 \
 		--workers 2 --keep-going --max-worker-crashes 2 --json-summary -
 
@@ -49,14 +47,11 @@ sweep-smoke:
 		assert cold['fingerprint'] == warm['fingerprint'], 'warm run drifted'"
 	rm -rf .sweep-smoke
 
-# The result service end to end: the serve test suite (framing, jobs,
-# degradation ladder, chaos), then the standalone smoke script — hot
+# The result service end to end: the standalone smoke script — hot
 # and cold fetches, a coalescing probe, a killed-worker -> 503 probe, a
-# graceful-drain check, and a real-CLI SIGTERM drain.
+# graceful-drain check, and a real-CLI SIGTERM drain.  The serve tests
+# (framing, jobs, degradation ladder, chaos) run in tier-1.
 serve-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest \
-		tests/test_serve_http.py tests/test_serve_jobs.py \
-		tests/test_serve_service.py tests/test_serve_chaos.py -q
 	python scripts/serve_smoke.py
 
 # One fast experiment with tracing + metrics on; `obs report` re-parses
@@ -128,16 +123,13 @@ corpus-smoke:
 	rm -rf .corpus-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q benchmarks/bench_scan_adversarial.py
 
-# The self-healing data plane end to end: the integrity test suite
-# (damage taxonomy, corrupt-then-repair round trips, snapshot tamper
-# detection), then the standalone smoke script — flip a byte in a
-# cached shard, assert the strict read raises IntegrityError, scrub
-# --repair restores the exact fingerprint, a tampered snapshot
-# manifest is rejected, and serve answers 200 via recompute (never
-# 500) over a corrupted artifact.
+# The self-healing data plane end to end: the standalone smoke script
+# — flip a byte in a cached shard, assert the strict read raises
+# IntegrityError, scrub --repair restores the exact fingerprint, a
+# tampered snapshot manifest is rejected, and serve answers 200 via
+# recompute (never 500) over a corrupted artifact.  The integrity and
+# artifact-cache tests run in tier-1.
 integrity-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest \
-		tests/test_integrity.py tests/test_io_artifacts.py -q
 	python scripts/integrity_smoke.py
 
 # Every smoke above, in one target: the CI's second step.

@@ -506,23 +506,18 @@ class ColumnarCorpus:
 
     # -- aggregates ----------------------------------------------------
 
-    def papers_per_author_array(self) -> np.ndarray:
-        """Paper counts indexed by global author index (zeros included)."""
-        counts = np.zeros(self.vocab.n_authors, dtype=np.int64)
-        for shard in self.iter_shards():
-            if shard.author_values.size:
-                counts += np.bincount(
-                    shard.author_values, minlength=self.vocab.n_authors
-                )
-        return counts
+    def count_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(citations, papers_per_author)`` from one pass over the shards.
 
-    def citation_counts_array(self) -> np.ndarray:
-        """Within-corpus citation counts indexed by global paper index."""
-        counts = np.zeros(len(self), dtype=np.int64)
+        Within-corpus citation counts indexed by global paper index, and
+        paper counts indexed by global author index (zeros included).
+        """
+        citations = np.zeros(len(self), dtype=np.int64)
+        per_author = np.zeros(self.vocab.n_authors, dtype=np.int64)
         for shard in self.iter_shards():
-            if shard.ref_values.size:
-                counts += np.bincount(shard.ref_values, minlength=len(self))
-        return counts
+            citations += np.bincount(shard.ref_values, minlength=len(self))
+            per_author += np.bincount(shard.author_values, minlength=self.vocab.n_authors)
+        return citations, per_author
 
     # -- interop -------------------------------------------------------
 

@@ -231,8 +231,10 @@ class IntegrityError(DataFormatError):
     Attributes:
         path: The damaged file, as a string, when known.
         kind: Artifact kind or snapshot member ("corpus-shard", ...).
-        damage: Damage class from the scrub taxonomy ("bit_flipped",
-            "truncated", "bad_header", "orphaned_tmp", "garbled").
+        damage: Damage class from the taxonomy
+            (:data:`repro.io.artifacts.DAMAGE_KINDS`: "bit_flipped",
+            "truncated", "bad_header", "orphaned_tmp", "garbled"), or
+            "missing" when a strict cache read finds no entry at all.
         expected: The digest/fingerprint that was declared.
         actual: The digest/fingerprint recomputed from the bytes read.
     """

@@ -105,8 +105,7 @@ def run(
     corpus = shared_columnar_corpus_from_config(
         corpus_config_from_params(spec.seed, spec.corpus)
     )
-    counts = corpus.citation_counts_array()
-    per_author = corpus.papers_per_author_array()
+    counts, per_author = corpus.count_arrays()
     depth_counts = per_author[per_author > 0]
     n = len(counts)
     citation_table = Table(

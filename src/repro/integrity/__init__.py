@@ -6,9 +6,11 @@ computes and everything ``repro serve`` serves.  This package is its
 immune system:
 
 - :mod:`repro.integrity.scrub` walks a cache, verifies every entry
-  end-to-end (body SHA-256, not just header parse), classifies damage
-  into a small taxonomy, and repairs it — regenerating byte-identical
-  replacements for entries that are pure functions of their header
+  end-to-end through the cache's own reader
+  (:func:`repro.io.artifacts.read_entry`: body SHA-256, not just
+  header parse), reports damage by its kind (:data:`DAMAGE_KINDS`,
+  defined beside that reader), and repairs it — regenerating
+  byte-identical replacements for entries that are pure functions of their header
   config, deleting the rest down to a clean miss.
 - :mod:`repro.integrity.snapshot` exports tagged, content-addressed,
   self-verifying corpus snapshots and imports them with eager total
@@ -20,8 +22,8 @@ Both surface damage as the typed, one-line
 :class:`repro.errors.IntegrityError`.
 """
 
+from repro.io.artifacts import DAMAGE_KINDS
 from repro.integrity.scrub import (
-    DAMAGE_KINDS,
     DEFAULT_REGENERATORS,
     EntryInfo,
     Finding,

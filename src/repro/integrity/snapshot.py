@@ -32,13 +32,14 @@ everything is recomputed.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import asdict
 from pathlib import Path
 
 from repro.errors import IntegrityError
 from repro.io.artifacts import lines_digest
-from repro.io.jsonl import jsonl_line, read_jsonl, write_jsonl_lines, write_text_atomic
+from repro.io.jsonl import jsonl_line, parse_jsonl_lines, write_jsonl_lines, write_text_atomic
 
 __all__ = [
     "MANIFEST_NAME",
@@ -79,6 +80,33 @@ def _manifest_sha256(manifest: dict) -> str:
 
 def _fail(message: str, **context) -> None:
     raise IntegrityError(message, stage="import", **context)
+
+
+def _read_object(path: Path, sha256: str) -> list[dict]:
+    """The records of one snapshot object, parsed from the same single
+    read of its bytes that is checked against its content address."""
+    from repro.bibliometrics.columnar import SHARD_ARTIFACT_KIND
+
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        _fail(
+            f"snapshot object missing: {path.name}",
+            path=str(path),
+            kind=SHARD_ARTIFACT_KIND,
+            damage="truncated",
+        )
+    actual = hashlib.sha256(data).hexdigest()
+    if actual != sha256:
+        _fail(
+            f"snapshot object {path.name} failed its digest",
+            path=str(path),
+            kind=SHARD_ARTIFACT_KIND,
+            damage="bit_flipped",
+            expected=sha256,
+            actual=actual,
+        )
+    return list(parse_jsonl_lines(io.BytesIO(data), str(path)))
 
 
 def export_snapshot(
@@ -242,7 +270,9 @@ def import_snapshot(
     its content-address, every decoded shard's fingerprint against the
     manifest, and the merged fingerprint.  The first violation raises
     a one-line :class:`repro.errors.IntegrityError`; a corpus is only
-    returned when every byte checked out.
+    returned when every byte checked out.  Each object is read once for
+    both its digest and its parse, and the returned corpus re-checks
+    the digest every time it loads an object again.
 
     Args:
         directory: The snapshot directory.
@@ -303,26 +333,7 @@ def import_snapshot(
     fingerprints: list[str] = []
     for entry in shard_entries:
         object_path = objects / f"{entry['sha256']}.jsonl"
-        try:
-            data = object_path.read_bytes()
-        except FileNotFoundError:
-            _fail(
-                f"snapshot object missing: {object_path.name}",
-                path=str(object_path),
-                kind=SHARD_ARTIFACT_KIND,
-                damage="truncated",
-            )
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != entry["sha256"]:
-            _fail(
-                f"snapshot object {object_path.name} failed its digest",
-                path=str(object_path),
-                kind=SHARD_ARTIFACT_KIND,
-                damage="bit_flipped",
-                expected=entry["sha256"],
-                actual=actual,
-            )
-        records = list(read_jsonl(object_path))
+        records = _read_object(object_path, entry["sha256"])
         shard = decode_shard(records)
         if shard.index != entry["index"] or shard.n_papers != entry["n_papers"]:
             _fail(
@@ -364,8 +375,8 @@ def import_snapshot(
     by_index = {entry["index"]: entry for entry in shard_entries}
 
     def loader(index: int):
-        path = objects / f"{by_index[index]['sha256']}.jsonl"
-        return decode_shard(list(read_jsonl(path)))
+        sha256 = by_index[index]["sha256"]
+        return decode_shard(_read_object(objects / f"{sha256}.jsonl", sha256))
 
     return ColumnarCorpus(
         vocab,

@@ -18,20 +18,19 @@ Design points:
   header line carrying ``kind``/``version``/``config``/``count``, then
   one record per line.  A cache file is inspectable with ``head`` and
   survives interpreter upgrades.
-- **Corruption is a miss, never a crash.**  A truncated, torn, or
-  header-mismatched file makes :meth:`ArtifactCache.get` return None
-  (counted as ``artifacts.corrupt``); the caller regenerates and the
-  next :meth:`ArtifactCache.put` atomically replaces the bad entry.
-- **End-to-end verification.**  Every entry's header carries a SHA-256
-  over the exact body bytes (``"sha256"``), written by :meth:`put` and
-  recomputed from the raw file on every :meth:`ArtifactCache.get` —
-  so a bit-flip that still *parses* (the failure mode a header check
-  cannot see) is caught and becomes a miss, counted as
-  ``artifacts.integrity_failures``.  :meth:`ArtifactCache.read_verified`
-  is the strict variant: it raises a typed
-  :class:`repro.errors.IntegrityError` instead of returning None, for
-  callers (snapshot import, ``repro integrity scrub``) that must
-  *report* damage rather than silently regenerate around it.
+- **One reader verifies.**  :func:`read_entry` reads an entry's bytes
+  once and checks the header fields, the content address, every
+  line's parse, the record count, a torn tail, and a SHA-256 over the
+  exact body bytes (``"sha256"``, written by :meth:`put`), so a
+  bit-flip that still *parses* is caught too.  The cache and
+  :mod:`repro.integrity.scrub` both read through it.
+- **Corruption is a miss, never a crash.**  Any damaged entry makes
+  :meth:`ArtifactCache.get` return None (counted as
+  ``artifacts.corrupt`` and ``artifacts.integrity_failures``); the
+  caller regenerates and the next :meth:`put` atomically replaces it.
+  :meth:`ArtifactCache.read_verified` is the strict variant: it raises
+  a typed :class:`repro.errors.IntegrityError` naming the damage kind
+  (:data:`DAMAGE_KINDS`), for callers that must *report* damage.
 - **Safe under racing writers.**  Writes go to a private temp file and
   are renamed over the destination, so two processes racing on one key
   both produce valid files and the last rename wins.
@@ -50,14 +49,20 @@ Design points:
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from repro.errors import CacheLockTimeout, IntegrityError
-from repro.io.jsonl import jsonl_line, read_jsonl, write_jsonl_lines
+from repro.errors import (
+    CacheLockTimeout,
+    IntegrityError,
+    JsonlDecodeError,
+    TruncatedFileError,
+)
+from repro.io.jsonl import jsonl_line, parse_jsonl_lines, write_jsonl_lines
 
 try:  # pragma: no cover - fcntl is always present on the POSIX targets
     import fcntl
@@ -67,9 +72,12 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
     "ArtifactCache",
+    "DAMAGE_KINDS",
+    "EntryRead",
     "artifact_key",
     "body_digest",
     "lines_digest",
+    "read_entry",
 ]
 
 #: Bump to invalidate every existing cache entry (serialization change).
@@ -132,6 +140,124 @@ def lines_digest(lines: Iterable[str]) -> str:
     for line in lines:
         digest.update(line.encode("utf-8"))
     return digest.hexdigest()
+
+
+#: The damage taxonomy, in rough order of how the bytes died:
+#:
+#: - ``orphaned_tmp`` — a writer's private temp file that outlived its
+#:   (killed) writer; never renamed into place, pure litter.
+#: - ``truncated`` — the file ends early: empty, a torn header or final
+#:   line, or fewer records than the header declared (a truncation
+#:   fault, a short copy).
+#: - ``bit_flipped`` — every line parses and the shape is right, but
+#:   the body bytes do not hash to the header's ``sha256``: silent
+#:   media corruption, the failure mode only end-to-end digests catch.
+#: - ``bad_header`` — the header line is unparsable, missing fields,
+#:   or disagrees with where the file lives (kind directory, content
+#:   address); the entry cannot be trusted to describe itself.
+#: - ``garbled`` — an interior line is not JSON, or there are *more*
+#:   records than declared: interleaved or mangled writes.
+DAMAGE_KINDS = (
+    "orphaned_tmp",
+    "truncated",
+    "bit_flipped",
+    "bad_header",
+    "garbled",
+)
+
+#: Header fields every verifiable entry must carry (the v2 format).
+_REQUIRED_HEADER_FIELDS = ("artifact", "version", "config", "count", "sha256")
+
+
+class EntryRead(NamedTuple):
+    """One entry file, read and verified by :func:`read_entry`.
+
+    Attributes:
+        header: The parsed header whenever its line parsed to an
+            object (repair needs it even for damaged bodies), else None.
+        records: The body records of an intact entry, else None.
+        damage: None when intact, ``"missing"`` when there is no file,
+            otherwise one of :data:`DAMAGE_KINDS`.
+        detail: One human-readable line of evidence.
+    """
+
+    header: dict | None
+    records: list[dict] | None
+    damage: str | None
+    detail: str
+
+
+def read_entry(path: str | Path, *, addressed: bool = True) -> EntryRead:
+    """Read one ``<kind>/<key>.jsonl`` entry file once; verify and parse it.
+
+    The one verifier of the entry format.  In order: the header line is
+    an object with every v2 field; its ``artifact`` names the directory
+    the file is in; with ``addressed``, the filename is the content
+    address recomputed from the header (False for files that are not
+    content-addressed); every body line parses and the last one ends in
+    a newline; the record count is the header's; and the raw body bytes
+    hash to the header's ``sha256``.  The first failed check names the
+    damage kind.
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return EntryRead(None, None, "missing", "no such entry")
+    if not data:
+        return EntryRead(None, None, "truncated", "empty file")
+    cut = data.find(b"\n") + 1  # 0 when the header line is torn
+    rows = parse_jsonl_lines(io.BytesIO(data), str(path))
+    try:
+        header = next(rows) if data[: cut or None].strip() else None
+    except JsonlDecodeError:
+        header = None
+
+    def damaged(kind: str, detail: str) -> EntryRead:
+        return EntryRead(header if isinstance(header, dict) else None, None, kind, detail)
+
+    if not cut:
+        return damaged("truncated", "torn header line (no newline)")
+    if not isinstance(header, dict):
+        return damaged("bad_header", "header line is not a JSON object")
+    missing = [k for k in _REQUIRED_HEADER_FIELDS if k not in header]
+    if missing:
+        return damaged("bad_header", f"header missing fields: {missing} (pre-digest entry?)")
+    if header["artifact"] != path.parent.name:
+        return damaged(
+            "bad_header",
+            f"header kind {header['artifact']!r} != directory {path.parent.name!r}",
+        )
+    if addressed and path.stem != artifact_key(
+        header["artifact"], header["config"], header["version"]
+    ):
+        return damaged(
+            "bad_header",
+            "filename does not match the content address recomputed "
+            "from the header (moved or relabeled entry)",
+        )
+    try:
+        records = list(rows)
+    except TruncatedFileError as exc:
+        return damaged("truncated", f"torn final line {exc.line_number}")
+    except JsonlDecodeError as exc:
+        return damaged("garbled", f"line {exc.line_number} is not JSON")
+    if not data.endswith(b"\n"):
+        return damaged("truncated", "final line has no newline")
+    declared = header["count"]
+    if len(records) != declared:
+        short = isinstance(declared, int) and len(records) < declared
+        return damaged(
+            "truncated" if short else "garbled",
+            f"{len(records)} records on disk, header declares {declared}",
+        )
+    actual = hashlib.sha256(memoryview(data)[cut:]).hexdigest()
+    if actual != header["sha256"]:
+        return damaged(
+            "bit_flipped",
+            f"body sha256 {actual[:12]}… != declared {str(header['sha256'])[:12]}…",
+        )
+    return EntryRead(header, records, None, "intact")
 
 
 def _metrics():
@@ -202,45 +328,6 @@ class ArtifactCache:
 
     # -- read ----------------------------------------------------------
 
-    def get(self, kind: str, config: dict) -> list[dict] | None:
-        """The cached records for ``(kind, config)``, or None on a miss.
-
-        Every failure mode — absent file, torn final line, malformed
-        JSON, header mismatch, wrong record count — is a miss: the
-        caller regenerates and overwrites.  An invalid *existing* file
-        is additionally counted as ``artifacts.corrupt``.
-        """
-        path = self.path_for(kind, config)
-        try:
-            rows = list(read_jsonl(path))
-        except FileNotFoundError:
-            _metrics().count("artifacts.misses")
-            return None
-        except Exception:  # noqa: BLE001 - any decode failure is a miss
-            self._count_verification_failure()
-            return None
-        if not rows:
-            self._count_verification_failure()
-            return None
-        header, records = rows[0], rows[1:]
-        if (
-            header.get("artifact") != kind
-            or header.get("version") != self.version
-            or header.get("config") != config
-            or header.get("count") != len(records)
-        ):
-            self._count_verification_failure()
-            return None
-        declared = header.get("sha256")
-        if not isinstance(declared, str) or self._body_sha256(path) != declared:
-            # The entry *parses* but its bytes are not the ones the
-            # writer hashed — bit-rot, a torn replication copy, or a
-            # tampered body.  Only the end-to-end digest catches this.
-            self._count_verification_failure()
-            return None
-        _metrics().count("artifacts.hits")
-        return records
-
     @staticmethod
     def _count_verification_failure() -> None:
         """Count one present-but-unverifiable entry.
@@ -256,43 +343,48 @@ class ArtifactCache:
         _metrics().count("artifacts.corrupt")
         _metrics().count("artifacts.integrity_failures")
 
+    def get(self, kind: str, config: dict) -> list[dict] | None:
+        """The cached records for ``(kind, config)``, or None on a miss.
+
+        Every failure mode — absent file, torn line, malformed JSON,
+        header mismatch, wrong record count, body digest mismatch, a
+        file that cannot be read at all — is a miss: the caller
+        regenerates and overwrites.
+        """
+        try:
+            return self.read_verified(kind, config)
+        except IntegrityError:
+            return None
+        except OSError:  # present but unreadable: EACCES, EIO, a directory
+            self._count_verification_failure()
+            return None
+
     def read_verified(self, kind: str, config: dict) -> list[dict]:
         """The cached records, or a typed error — never a silent miss.
 
         The strict twin of :meth:`get`, for callers that must *surface*
-        damage (snapshot import, ``repro integrity scrub``, smoke
-        scripts proving corruption is detected) instead of regenerating
-        around it.  Raises :class:`repro.errors.IntegrityError` — one
-        line, CLI-ready — on an absent, torn, header-mismatched, or
-        digest-mismatched entry.
+        damage (scrub repair, smoke scripts proving corruption is
+        detected) instead of regenerating around it.  Raises
+        :class:`repro.errors.IntegrityError` — one line, CLI-ready —
+        whose ``damage`` is ``"missing"`` for an absent entry and the
+        :data:`DAMAGE_KINDS` kind :func:`read_entry` found otherwise.
         """
         path = self.path_for(kind, config)
-        records = self.get(kind, config)
-        if records is None:
-            damage = "missing" if not path.exists() else "corrupt"
-            raise IntegrityError(
-                f"cache entry failed verification: {path.name}",
-                path=str(path),
-                kind=kind,
-                damage=damage,
-                stage="read",
-            )
-        return records
-
-    @staticmethod
-    def _body_sha256(path: Path) -> str | None:
-        """SHA-256 of the raw bytes after the header line, or None.
-
-        Digests the file exactly as written — not a re-dump of parsed
-        records — so corruption hiding in bytes the parser normalizes
-        away still mismatches.
-        """
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        cut = data.find(b"\n") + 1  # 0 (whole file) when the header is torn
-        return hashlib.sha256(data[cut:]).hexdigest()
+        entry = read_entry(path)
+        if entry.damage is None:
+            _metrics().count("artifacts.hits")
+            return entry.records
+        if entry.damage == "missing":
+            _metrics().count("artifacts.misses")
+        else:
+            self._count_verification_failure()
+        raise IntegrityError(
+            f"cache entry failed verification: {path.name}: {entry.detail}",
+            path=str(path),
+            kind=kind,
+            damage=entry.damage,
+            stage="read",
+        )
 
     # -- write ---------------------------------------------------------
 

@@ -14,6 +14,7 @@ path.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import json
 import os
@@ -203,8 +204,8 @@ def read_jsonl(
     """Yield the records of a JSONL file, skipping blank lines.
 
     A UTF-8 BOM on the first line is tolerated.  A malformed line
-    raises :class:`repro.errors.JsonlDecodeError` (a
-    ``json.JSONDecodeError`` subclass, annotated with path and line
+    (bad JSON or bad UTF-8) raises :class:`repro.errors.JsonlDecodeError`
+    (a ``json.JSONDecodeError`` subclass, annotated with path and line
     number); a final line that is both unterminated and invalid raises
     :class:`repro.errors.TruncatedFileError` instead, since that
     signature means the writer was killed mid-record and everything
@@ -218,47 +219,57 @@ def read_jsonl(
             report.
         errors: Target list for ``on_error="collect"``.
     """
+    path = Path(path)
+    with path.open("rb") as handle:
+        yield from parse_jsonl_lines(handle, str(path), on_error, errors)
+
+
+def parse_jsonl_lines(
+    lines: Iterable[bytes],
+    source: str,
+    on_error: str = "raise",
+    errors: list | None = None,
+) -> Iterator[dict]:
+    """:func:`read_jsonl` over the raw lines of file ``source``, newlines
+    kept (``io.BytesIO`` over bytes a reader also hashes, for one)."""
     if on_error not in ON_ERROR_MODES:
         raise ValueError(
             f"unknown on_error mode {on_error!r}; known: {ON_ERROR_MODES}"
         )
     if on_error == "collect" and errors is None:
         raise ValueError('on_error="collect" needs an errors list to fill')
-    path = Path(path)
     rows_read = 0
     salvaged = 0
-    # utf-8-sig strips a leading BOM when present, reads plain UTF-8
-    # unchanged otherwise.
     try:
-        with path.open("r", encoding="utf-8-sig") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    truncated = not line.endswith("\n")
-                    error_cls = (
-                        TruncatedFileError if truncated else JsonlDecodeError
-                    )
-                    prefix = "truncated final line (writer killed mid-record?)"
-                    detail = f"{prefix}: {exc.msg}" if truncated else exc.msg
-                    wrapped = error_cls(
-                        f"{path}:{line_number}: {detail}",
-                        exc.doc,
-                        exc.pos,
-                        path=str(path),
-                        line_number=line_number,
-                    )
-                    if on_error == "raise":
-                        raise wrapped from exc
-                    salvaged += 1
-                    if on_error == "collect":
-                        errors.append(wrapped)
-                    continue
-                rows_read += 1
-                yield record
+        for line_number, line in enumerate(lines, start=1):
+            if line_number == 1:
+                line = line.removeprefix(codecs.BOM_UTF8)
+            if not line or line.isspace():
+                continue
+            try:
+                # json.loads skips the newline; no stripped copy of a long line.
+                record = json.loads(line.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                truncated = not line.endswith(b"\n")
+                error_cls = TruncatedFileError if truncated else JsonlDecodeError
+                reason = getattr(exc, "msg", None) or f"invalid UTF-8 ({exc.reason})"
+                prefix = "truncated final line (writer killed mid-record?)"
+                detail = f"{prefix}: {reason}" if truncated else reason
+                wrapped = error_cls(
+                    f"{source}:{line_number}: {detail}",
+                    getattr(exc, "doc", ""),
+                    getattr(exc, "pos", 0),
+                    path=source,
+                    line_number=line_number,
+                )
+                if on_error == "raise":
+                    raise wrapped from exc
+                salvaged += 1
+                if on_error == "collect":
+                    errors.append(wrapped)
+                continue
+            rows_read += 1
+            yield record
     finally:
         # Counted in a finally so a partially consumed generator still
         # reports the rows it produced and the lines it skipped around.

@@ -190,12 +190,11 @@ class TestCorpusAPI:
 class TestAggregates:
     def test_counters_match_dataclass_corpus(self, corpus, legacy):
         vocab = corpus.vocab
-        per_author = corpus.papers_per_author_array()
+        cited, per_author = corpus.count_arrays()
         assert {
             vocab.author_id(int(i)): int(per_author[i])
             for i in np.nonzero(per_author)[0]
         } == dict(legacy.papers_per_author())
-        cited = corpus.citation_counts_array()
         assert {
             paper_id_for(int(i)): int(cited[i]) for i in np.nonzero(cited)[0]
         } == dict(legacy.citation_counts())

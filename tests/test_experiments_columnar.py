@@ -5,7 +5,8 @@ drive :mod:`repro.experiments._corpus` with a smaller shard size (or a
 larger venue scale) to cover what only shows with several shards:
 memory-cache identity of a multi-shard corpus, warm replays that stream
 shard by shard, disk invalidation of every shard and the aggregates
-entry, and E3 reading a streamed corpus without reloading its shards.
+entry, and E3 and E12 reading a streamed corpus without reloading its
+shards.
 """
 
 import ast
@@ -26,6 +27,7 @@ from repro.experiments._corpus import (
     shared_columnar_corpus_from_config,
 )
 from repro.experiments.e03_agenda_concentration import E3Spec, run as run_e3
+from repro.experiments.e12_scale_vs_depth import E12Spec, run as run_e12
 from repro.experiments.spec import CorpusParams
 
 #: Two years of the stock panel (880 papers) cut into three shards.
@@ -95,11 +97,15 @@ class TestColumnarCaching:
 
 
 class TestE3StreamedRooms:
-    def test_each_shard_loads_at_most_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec_cls, run", [(E3Spec, run_e3), (E12Spec, run_e12)], ids=["E3", "E12"]
+    )
+    def test_each_shard_loads_at_most_once(self, tmp_path, monkeypatch, spec_cls, run):
         # venue_scale 2.3 puts the fast preset's 10,120 papers in two
         # SHARD_SIZE shards; with a disk cache the corpus streams, so
-        # every shard E3 touches is decoded from the cache again.
-        spec = E3Spec(corpus=CorpusParams(venue_scale=2.3))
+        # every shard the experiment touches is decoded from the cache
+        # again.
+        spec = spec_cls(corpus=CorpusParams(venue_scale=2.3))
         config = _corpus.corpus_config_from_params(spec.seed, spec.corpus)
         configure_corpus_cache(str(tmp_path))
         corpus = shared_columnar_corpus_from_config(config)
@@ -115,9 +121,9 @@ class TestE3StreamedRooms:
             return shard
 
         monkeypatch.setattr(shardgen, "decode_shard", counting)
-        result = run_e3(spec)
+        result = run(spec)
         assert result.checks
-        assert loads, "E3 read no shard: the probe is not on the load path"
+        assert loads, "read no shard: the probe is not on the load path"
         assert max(loads.values()) == 1, dict(loads)
 
 

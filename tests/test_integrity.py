@@ -335,6 +335,22 @@ class TestSnapshotRoundTrip:
         replay = generate_columnar_corpus(config, cache_dir=str(warm))
         assert replay.fingerprint() == manifest["fingerprint"]
 
+    def test_import_reads_each_object_once(self, tmp_path, monkeypatch):
+        snap = tmp_path / "snap"
+        export_snapshot(snap, corpus_config(), tag="read-once")
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith(".jsonl"):
+                opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        import_snapshot(snap)
+        assert len(opened) == 4
+        assert len(set(opened)) == 4
+
     def test_export_refuses_to_overwrite_without_force(self, tmp_path):
         snap = tmp_path / "snap"
         export_snapshot(snap, corpus_config(), tag="first")
@@ -406,6 +422,14 @@ class TestSnapshotTamperDetection:
         flip_byte(target)
         error = self.assert_import_fails_one_line(snap)
         assert error.damage == "bit_flipped"
+
+    def test_object_damaged_after_import_fails_its_next_load(self, snap):
+        corpus = import_snapshot(snap)
+        flip_byte(sorted((snap / "objects").glob("*.jsonl"))[0])
+        with pytest.raises(IntegrityError) as excinfo:
+            list(corpus.iter_shards())
+        assert excinfo.value.damage == "bit_flipped"
+        assert "failed its digest" in str(excinfo.value)
 
     def test_missing_object_fails_import(self, snap):
         sorted((snap / "objects").glob("*.jsonl"))[0].unlink()

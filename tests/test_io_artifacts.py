@@ -3,14 +3,20 @@
 The artifact cache must treat every corruption mode as a miss (never a
 crash), survive concurrent writers racing on one key, generate at most
 once under get_or_create races, and orphan old entries on a version
-bump.
+bump.  Its one entry reader must agree with the scrubber and the strict
+read on every damaged file, and read each entry once.
 """
 
+import io
 import json
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.errors import IntegrityError
+from repro.integrity import classify_entry
 from repro.io.artifacts import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactCache,
@@ -148,6 +154,82 @@ class TestCorruption:
         path.write_text("garbage\n")
         assert cache.get_or_create("squares", CONFIG, squares) == squares()
         assert cache.get("squares", CONFIG) == squares()
+
+
+class TestOneReader:
+    """get, read_verified and the scrubber share one verified read."""
+
+    def test_get_opens_the_entry_once(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("squares", CONFIG, squares())
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        assert cache.get("squares", CONFIG) == squares()
+        assert len(opened) == 1
+
+    @pytest.mark.parametrize("damage, expected", [
+        # One bit inside a string value: every line still parses.
+        (lambda data: data.replace(b'"sq": 4', b'"sq": 5'), "bit_flipped"),
+        (lambda data: data[:-3], "truncated"),
+    ], ids=["flipped_bit", "truncation"])
+    def test_read_verified_reports_the_damage_kind(self, tmp_path, damage, expected):
+        cache = ArtifactCache(tmp_path)
+        path = cache.put("squares", CONFIG, squares())
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(IntegrityError) as excinfo:
+            cache.read_verified("squares", CONFIG)
+        assert excinfo.value.damage == expected
+        assert "\n" not in str(excinfo.value)
+
+    def test_read_verified_reports_an_absent_entry_as_missing(self, tmp_path):
+        with pytest.raises(IntegrityError) as excinfo:
+            ArtifactCache(tmp_path).read_verified("squares", CONFIG)
+        assert excinfo.value.damage == "missing"
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        mode=st.sampled_from(("truncate", "flip", "append", "duplicate", "blank")),
+        where=st.integers(0, 10**6),
+        mask=st.integers(1, 255),
+    )
+    def test_damaged_entries_read_alike(self, tmp_path_factory, n, mode, where, mask):
+        cache = ArtifactCache(tmp_path_factory.mktemp("cache"), sweep=False)
+        path = cache.put("squares", CONFIG, squares(n))
+        data = path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        line = where % len(lines)
+        if mode == "truncate":
+            data = data[: where % len(data)]
+        elif mode == "flip":
+            flipped = bytearray(data)
+            flipped[where % len(data)] ^= mask
+            data = bytes(flipped)
+        elif mode == "append":
+            data += json.dumps({"i": where}).encode() + b"\n"
+        elif mode == "duplicate":
+            data = b"".join(lines[: line + 1] + lines[line:])
+        else:
+            data = b"".join(lines[:line] + [b"\n"] + lines[line:])
+        path.write_bytes(data)
+
+        records = cache.get("squares", CONFIG)
+        damage, _, _ = classify_entry(path)
+        assert records in (None, squares(n))
+        assert (damage is None) == (records is not None)
+        if damage is None:
+            assert cache.read_verified("squares", CONFIG) == squares(n)
+        else:
+            with pytest.raises(IntegrityError) as excinfo:
+                cache.read_verified("squares", CONFIG)
+            assert excinfo.value.damage == damage
 
 
 class TestGetOrCreate:
