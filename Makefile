@@ -17,7 +17,7 @@ experiments-full:
 	python -m repro experiments --full
 
 check:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q --durations=10
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -q benchmarks/e2e/test_e2e_bench.py
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro experiments E1 E13 --seed 0 --retries 1 --workers 2 --json-summary -
 

@@ -23,9 +23,9 @@ from _harness import RESULTS_DIR
 
 from repro.experiments._corpus import (
     clear_corpus_cache,
-    configure_corpus_cache,
     corpus_config,
     shared_aggregates_from_config,
+    use_corpus_cache,
 )
 from repro.runtime.runner import SuiteRunner
 
@@ -38,11 +38,8 @@ def test_suite_wall_clock_scaling(tmp_path):
 
     # Prime the corpus shards and scanned aggregates so every timed run
     # — sequential included — sees the same warm on-disk cache.
-    previous = configure_corpus_cache(cache_dir)
-    try:
+    with use_corpus_cache(cache_dir):
         shared_aggregates_from_config(corpus_config(seed=0, fast=fast))
-    finally:
-        configure_corpus_cache(previous)
 
     runs = []
     fingerprints = set()

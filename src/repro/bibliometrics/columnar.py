@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -423,8 +424,10 @@ class ColumnarCorpus:
         self._loader = loader
         self._shard_fingerprints = shard_fingerprints
         self.max_resident = max_resident
-        self._resident: dict[int, ColumnarShard] = {}
-        self._resident_order: list[int] = []
+        # The LRU is one ordered map, each step a single atomic call:
+        # threads that share a corpus (serve's compute threads, threaded
+        # scans) at worst load a shard twice, never corrupt the order.
+        self._resident: OrderedDict[int, ColumnarShard] = OrderedDict()
 
     # -- shard access --------------------------------------------------
 
@@ -446,15 +449,19 @@ class ColumnarCorpus:
             raise IndexError(f"shard {index} out of range 0..{self.n_shards - 1}")
         shard = self._resident.get(index)
         if shard is not None:
-            self._resident_order.remove(index)
-            self._resident_order.append(index)
+            try:
+                self._resident.move_to_end(index)
+            except KeyError:  # another thread evicted it meanwhile
+                pass
             return shard
         # Evict *before* loading, so streaming mode never holds two
         # shards' string pools at once even transiently.
         if self.max_resident is not None:
             while len(self._resident) >= max(1, self.max_resident):
-                oldest = self._resident_order.pop(0)
-                del self._resident[oldest]
+                try:
+                    self._resident.popitem(last=False)
+                except KeyError:  # another thread emptied it meanwhile
+                    break
         shard = self._loader(index)
         if shard.n_papers != self._sizes[index]:
             raise IntegrityError(
@@ -481,7 +488,6 @@ class ColumnarCorpus:
                     stage="read",
                 )
         self._resident[index] = shard
-        self._resident_order.append(index)
         return shard
 
     def iter_shards(self) -> Iterator[ColumnarShard]:

@@ -277,10 +277,6 @@ class CorpusPlan:
             cell % self.n_venues,
         )
 
-    def active_pool(self, year: int) -> int:
-        """Author-pool size available in ``year`` (newcomers included)."""
-        return self.pool0 + self.influx * (year - self.config.start_year)
-
 
 # -- per-process memos -------------------------------------------------------
 

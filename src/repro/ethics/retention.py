@@ -94,10 +94,6 @@ class RetentionManager:
         # participant -> withdrawal clock, fed by note_withdrawal.
         self._withdrawals: dict[str, int] = {}
 
-    def rule_for(self, category: str) -> RetentionRule:
-        """The rule governing ``category`` (KeyError when ungoverned)."""
-        return self._rules[category]
-
     def collect(
         self, record_id: str, participant_id: str, category: str, now: int
     ) -> DataRecord:

@@ -85,13 +85,6 @@ class MeshNetwork:
             key=lambda n: n.node_id,
         )
 
-    def in_range(self, a: str, b: str) -> bool:
-        """True when nodes ``a`` and ``b`` are within radio range."""
-        return (
-            distance_km(self._nodes[a].location, self._nodes[b].location)
-            <= self.radio_range_km
-        )
-
     def neighbors(self, node_id: str, up_only: bool = True) -> list[str]:
         """Ids of nodes in radio range of ``node_id`` (excluding itself)."""
         origin = self._nodes[node_id]

@@ -143,17 +143,6 @@ class CodingSession:
         self._segments.append(segment)
         return segment
 
-    def add_segment(self, segment: CodedSegment) -> None:
-        """Add a pre-built segment with the same validation as :meth:`code`."""
-        self.code(
-            segment.doc_id,
-            segment.code,
-            segment.start,
-            segment.end,
-            segment.rater,
-            segment.memo,
-        )
-
     # -- queries -----------------------------------------------------------
 
     def segments(

@@ -79,14 +79,11 @@ def run_experiment_task(task: dict) -> dict:
     # Imported here, not at module top: the pool pickles this function
     # by reference, and keeping the import local means a spawn-context
     # worker pays it once per process, after interpreter startup.
-    from repro.experiments._corpus import configure_corpus_cache
     from repro.obs.metrics import MetricsRegistry, use_metrics
     from repro.obs.tracing import Tracer, use_tracer
     from repro.runtime.faultinject import FaultInjector, use_fault_injector
     from repro.runtime.runner import RetryPolicy, SuiteRunner
 
-    if task["cache_dir"] is not None:
-        configure_corpus_cache(task["cache_dir"])
     fault_injector = FaultInjector.from_task(
         task["fault"], task["worker_crashes"]
     )
@@ -99,6 +96,7 @@ def run_experiment_task(task: dict) -> dict:
         seed=task["jitter_seed"],
         fault_injector=fault_injector,
         profile_dir=task["profile_dir"],
+        cache_dir=task["cache_dir"],
     )
     spec = None
     if task.get("spec") is not None:

@@ -492,20 +492,21 @@ class SuiteRunner:
         run_fn: Callable[..., ExperimentResult],
         point: _Point,
     ) -> ExperimentResult:
+        from repro.experiments._corpus import use_corpus_cache
+
+        # Entered here, in the thread that runs the experiment (the
+        # deadline thread included), so the corpus root is this run's
+        # even when other runs share the process.
         if point.spec is not None:
+            args, kwargs = (point.spec,), {}
+        else:
+            args, kwargs = (), {"seed": point.seed, "fast": point.fast}
+        with use_corpus_cache(self.cache_dir):
             if self.fault_injector is not None:
                 return self.fault_injector.call(
-                    f"experiment:{point.experiment_id}", run_fn, point.spec
+                    f"experiment:{point.experiment_id}", run_fn, *args, **kwargs
                 )
-            return run_fn(point.spec)
-        if self.fault_injector is not None:
-            return self.fault_injector.call(
-                f"experiment:{point.experiment_id}",
-                run_fn,
-                seed=point.seed,
-                fast=point.fast,
-            )
-        return run_fn(seed=point.seed, fast=point.fast)
+            return run_fn(*args, **kwargs)
 
     def _attempt(
         self,
@@ -752,8 +753,6 @@ class SuiteRunner:
         workers: int | None,
         span_attrs: dict,
     ) -> SuiteReport:
-        from repro.experiments._corpus import configure_corpus_cache
-
         workers = self.workers if workers is None else workers
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -764,9 +763,6 @@ class SuiteRunner:
             # once; give them a throwaway cache for this run.
             temp_cache = tempfile.TemporaryDirectory(prefix="repro-cache-")
             cache_dir = temp_cache.name
-        previous_cache = (
-            configure_corpus_cache(cache_dir) if cache_dir is not None else None
-        )
         try:
             # Installing the injector process-wide lets disk faults
             # (enospc at the io/artifact write points) fire in the
@@ -787,8 +783,6 @@ class SuiteRunner:
                 span.set_attribute("ok", report.ok)
             return report
         finally:
-            if cache_dir is not None:
-                configure_corpus_cache(previous_cache)
             if temp_cache is not None:
                 temp_cache.cleanup()
 

@@ -183,16 +183,22 @@ def compute_corpus_stats(config, *, cache: ArtifactCache) -> list[dict]:
     ``config`` is a :class:`~repro.bibliometrics.shardgen.ShardedCorpusConfig`.
     The stats row is a pure function of it, so it is cached under
     ``(corpus-stats, config.to_dict())`` — and the heavy part, the
-    corpus itself, goes through the shared corpus cache layers, so a
-    stats miss after a warm suite run is still cheap.
+    corpus itself, streams through ``cache``'s ``corpus-shard``
+    entries (the shared corpus cache, rooted at ``cache.root``), so a
+    stats miss after a warm suite run on the same cache generates no
+    shard.
     """
     from collections import Counter
 
     import numpy as np
 
-    from repro.experiments._corpus import shared_columnar_corpus_from_config
+    from repro.experiments._corpus import (
+        shared_columnar_corpus_from_config,
+        use_corpus_cache,
+    )
 
-    corpus = shared_columnar_corpus_from_config(config)
+    with use_corpus_cache(cache.root):
+        corpus = shared_columnar_corpus_from_config(config)
     vocab = corpus.vocab
     by_year: Counter = Counter()
     by_topic = np.zeros(len(vocab.topics), dtype=np.int64)

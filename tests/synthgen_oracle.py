@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.bibliometrics.corpus import Author, Corpus, Paper, Venue
 from repro.bibliometrics.synthgen import (
     _COMMUNITIES,
@@ -130,7 +132,10 @@ def generate_corpus(
     """Generate a synthetic corpus and its ground-truth labels.
 
     Deterministic for a given ``(config, profiles)`` pair.  Citations
-    are O(n²): each paper weighs every earlier paper.
+    are O(n²): each paper weighs every earlier paper, in numpy, with
+    the weights accumulated once per paper (``random.choices`` with
+    ``weights=`` would accumulate them once per draw; the draws are
+    the same).
     """
     config = config or SyntheticCorpusConfig()
     profiles = profiles if profiles is not None else default_venue_profiles()
@@ -168,7 +173,14 @@ def generate_corpus(
 
     # Papers, year by year, with preferential-attachment citations.
     published: list[Paper] = []
-    citation_score: dict[str, float] = {}
+    total_papers = (config.end_year - config.start_year + 1) * sum(
+        max(0, round(profile.papers_per_year * config.venue_scale))
+        for profile in profiles
+    )
+    # Per published paper: 1 + its citation count, and its topic's code.
+    base_weight = np.empty(total_papers, dtype=np.float64)
+    topic_code = np.empty(total_papers, dtype=np.int64)
+    codes: dict[str, int] = {}
     paper_counter = 0
     influx = max(
         0, round(config.annual_pool_growth * config.authors_per_venue_pool)
@@ -213,19 +225,18 @@ def generate_corpus(
                         max(0, round(rng.gauss(config.mean_references, 3.0))),
                     )
                     if n_refs > 0:
-                        weights = [
-                            (1.0 + citation_score.get(p.paper_id, 0.0))
-                            * (config.same_topic_citation_bias
-                               if p.topic == topic else 1.0)
-                            for p in published
-                        ]
-                        chosen: set[str] = set()
-                        for _ in range(n_refs):
-                            pick = rng.choices(published, weights=weights, k=1)[0]
-                            chosen.add(pick.paper_id)
-                        references = tuple(sorted(chosen))
-                        for ref in references:
-                            citation_score[ref] = citation_score.get(ref, 0.0) + 1.0
+                        n = len(published)
+                        same_topic = topic_code[:n] == codes.get(topic, -1)
+                        weights = base_weight[:n] * np.where(
+                            same_topic, config.same_topic_citation_bias, 1.0
+                        )
+                        picks = list(set(rng.choices(
+                            range(n), cum_weights=np.cumsum(weights), k=n_refs
+                        )))
+                        references = tuple(
+                            sorted(published[i].paper_id for i in picks)
+                        )
+                        base_weight[picks] += 1.0
 
                 paper = Paper(
                     paper_id=paper_id,
@@ -239,6 +250,8 @@ def generate_corpus(
                     references=references,
                 )
                 corpus.add_paper(paper)
+                base_weight[len(published)] = 1.0
+                topic_code[len(published)] = codes.setdefault(topic, len(codes))
                 published.append(paper)
                 if families:
                     truth.human_methods[paper_id] = families

@@ -1,5 +1,7 @@
 """Tests for the sequential generator oracle (tests/synthgen_oracle.py)."""
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -128,18 +130,39 @@ class TestShardgenEquivalence:
     """
 
     BAND = 0.03
+    #: sha256 of the full-preset seed-0 oracle corpus and its truth.
+    ORACLE_DIGEST = (
+        "dead478418199d56dfbc0514df0b41b5e75ac12eb5ee1db8915d90754cd22e25"
+    )
 
     @pytest.fixture(scope="class")
-    def marginals(self):
+    def oracle(self):
+        # The oracle's defaults are the full preset: 2000-2025, pools of 120.
+        return generate_corpus(SyntheticCorpusConfig(seed=0))
+
+    @pytest.fixture(scope="class")
+    def marginals(self, oracle):
         from repro.bibliometrics.shardgen import generate_columnar_corpus
         from repro.experiments._corpus import corpus_config
 
         columnar = generate_columnar_corpus(corpus_config(seed=0, fast=False))
-        # The oracle's defaults are the full preset: 2000-2025, pools of 120.
         return {
             "shardgen": _marginals(columnar.to_corpus(), columnar.truth()),
-            "oracle": _marginals(*generate_corpus(SyntheticCorpusConfig(seed=0))),
+            "oracle": _marginals(*oracle),
         }
+
+    def test_oracle_corpus_is_pinned(self, oracle):
+        corpus, truth = oracle
+        payload = {
+            "papers": corpus.to_records(),
+            "human_methods": sorted(
+                [paper_id, list(families)]
+                for paper_id, families in truth.human_methods.items()
+            ),
+            "positionality": sorted(truth.positionality),
+        }
+        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == self.ORACLE_DIGEST
 
     @pytest.mark.parametrize("name", ["adoption", "positionality", "topics"])
     def test_marginals_within_band(self, marginals, name):

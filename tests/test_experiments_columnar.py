@@ -22,9 +22,9 @@ from repro.bibliometrics.shardscan import AGGREGATES_ARTIFACT_KIND
 from repro.experiments import _corpus
 from repro.experiments._corpus import (
     clear_corpus_cache,
-    configure_corpus_cache,
     shared_aggregates_from_config,
     shared_columnar_corpus_from_config,
+    use_corpus_cache,
 )
 from repro.experiments.e03_agenda_concentration import E3Spec, run as run_e3
 from repro.experiments.e12_scale_vs_depth import E12Spec, run as run_e12
@@ -41,12 +41,10 @@ SHARDED = dataclasses.replace(
 
 @pytest.fixture(autouse=True)
 def isolated_corpus_state():
-    """Save and restore the module's memory cache and disk setting."""
+    """Save and restore the module's memory cache."""
     saved_memory = dict(_corpus._memory)
-    saved_dir = configure_corpus_cache(None)
     _corpus._memory.clear()
     yield
-    configure_corpus_cache(saved_dir)
     _corpus._memory.clear()
     _corpus._memory.update(saved_memory)
 
@@ -74,10 +72,10 @@ class TestColumnarCaching:
         assert len(list(first.iter_shards())) == 3
 
     def test_warm_replay_streams_bit_identically(self, tmp_path):
-        configure_corpus_cache(str(tmp_path))
-        cold = shared_columnar_corpus_from_config(SHARDED).fingerprint()
-        clear_corpus_cache()  # memory only; disk stays warm
-        warm = shared_columnar_corpus_from_config(SHARDED)
+        with use_corpus_cache(tmp_path):
+            cold = shared_columnar_corpus_from_config(SHARDED).fingerprint()
+            clear_corpus_cache()  # memory only; disk stays warm
+            warm = shared_columnar_corpus_from_config(SHARDED)
         assert warm.fingerprint() == cold
         seen = 0
         for _ in warm.iter_shards():
@@ -86,13 +84,16 @@ class TestColumnarCaching:
         assert seen == 3
 
     def test_clear_disk_invalidates_both_kinds(self, tmp_path, counted_generator):
-        configure_corpus_cache(str(tmp_path))
-        shared_aggregates_from_config(SHARDED)
-        kinds = {path.name: len(list(path.glob("*.jsonl"))) for path in tmp_path.iterdir()}
-        assert kinds == {SHARD_ARTIFACT_KIND: 3, AGGREGATES_ARTIFACT_KIND: 1}
-        clear_corpus_cache(disk=True)
-        assert not list(tmp_path.rglob("*.jsonl"))
-        shared_aggregates_from_config(SHARDED)
+        with use_corpus_cache(tmp_path):
+            shared_aggregates_from_config(SHARDED)
+            kinds = {
+                path.name: len(list(path.glob("*.jsonl")))
+                for path in tmp_path.iterdir()
+            }
+            assert kinds == {SHARD_ARTIFACT_KIND: 3, AGGREGATES_ARTIFACT_KIND: 1}
+            clear_corpus_cache(tmp_path)
+            assert not list(tmp_path.rglob("*.jsonl"))
+            shared_aggregates_from_config(SHARDED)
         assert len(counted_generator) == 2
 
 
@@ -107,11 +108,6 @@ class TestE3StreamedRooms:
         # again.
         spec = spec_cls(corpus=CorpusParams(venue_scale=2.3))
         config = _corpus.corpus_config_from_params(spec.seed, spec.corpus)
-        configure_corpus_cache(str(tmp_path))
-        corpus = shared_columnar_corpus_from_config(config)
-        assert corpus.n_shards == 2 and corpus.max_resident == 1
-        shared_aggregates_from_config(config)
-
         loads = Counter()
         real = shardgen.decode_shard
 
@@ -120,8 +116,12 @@ class TestE3StreamedRooms:
             loads[shard.index] += 1
             return shard
 
-        monkeypatch.setattr(shardgen, "decode_shard", counting)
-        result = run(spec)
+        with use_corpus_cache(tmp_path):
+            corpus = shared_columnar_corpus_from_config(config)
+            assert corpus.n_shards == 2 and corpus.max_resident == 1
+            shared_aggregates_from_config(config)
+            monkeypatch.setattr(shardgen, "decode_shard", counting)
+            result = run(spec)
         assert result.checks
         assert loads, "read no shard: the probe is not on the load path"
         assert max(loads.values()) == 1, dict(loads)

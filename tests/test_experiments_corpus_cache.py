@@ -11,6 +11,8 @@ that keeps results of the earlier generator from being served.
 import functools
 import hashlib
 import json
+import shutil
+import threading
 
 import pytest
 
@@ -19,16 +21,22 @@ from repro.bibliometrics.shardscan import AGGREGATES_ARTIFACT_KIND, CorpusAggreg
 from repro.experiments import _corpus, spec as spec_module
 from repro.experiments._corpus import (
     clear_corpus_cache,
-    configure_corpus_cache,
-    corpus_cache_dir,
     corpus_config,
     shared_aggregates_from_config,
     shared_columnar_corpus_from_config,
     stock_corpus_papers,
+    use_corpus_cache,
 )
+from repro.experiments.e03_agenda_concentration import E3Spec
+from repro.experiments.e12_scale_vs_depth import E12Spec
 from repro.experiments.registry import get_experiment, make_spec
 from repro.experiments.spec import CorpusParams
 from repro.experiments.sweep import run_sweep
+from repro.io.artifacts import ArtifactCache
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime import runner as runner_module
+from repro.runtime.runner import SuiteRunner
+from repro.serve.service import compute_corpus_stats
 
 CORPUS_EXPERIMENTS = ("E1", "E2", "E3", "E12")
 
@@ -50,12 +58,10 @@ def result_fingerprint(result) -> str:
 
 @pytest.fixture(autouse=True)
 def isolated_corpus_state():
-    """Save and restore the module's memory cache and disk setting."""
+    """Save and restore the module's memory cache."""
     saved_memory = dict(_corpus._memory)
-    saved_dir = configure_corpus_cache(None)
     _corpus._memory.clear()
     yield
-    configure_corpus_cache(saved_dir)
     _corpus._memory.clear()
     _corpus._memory.update(saved_memory)
 
@@ -161,52 +167,157 @@ class TestDiskCache:
         monkeypatch.setattr(
             shardgen, "generate_shard", lambda *a: built.append(a) or real(*a)
         )
-        configure_corpus_cache(str(tmp_path))
-        shared_columnar_corpus_from_config(TINY)
-        assert len(built) == 1
-        clear_corpus_cache()  # memory only
-        list(shared_columnar_corpus_from_config(TINY).iter_shards())
+        with use_corpus_cache(tmp_path):
+            shared_columnar_corpus_from_config(TINY)
+            assert len(built) == 1
+            clear_corpus_cache()  # memory only
+            list(shared_columnar_corpus_from_config(TINY).iter_shards())
         assert len(built) == 1  # loaded from disk, not regenerated
 
     def test_disk_layout_is_shards_plus_aggregates(self, tmp_path):
-        configure_corpus_cache(str(tmp_path))
-        shared_aggregates_from_config(TINY)
+        with use_corpus_cache(tmp_path):
+            shared_aggregates_from_config(TINY)
         kinds = {path.name: len(list(path.glob("*.jsonl"))) for path in tmp_path.iterdir()}
         assert kinds == {"corpus-shard": 1, AGGREGATES_ARTIFACT_KIND: 1}
 
     def test_clear_disk_invalidates_artifacts(self, tmp_path, generations, classifications):
-        configure_corpus_cache(str(tmp_path))
-        shared_aggregates_from_config(TINY)
-        clear_corpus_cache(disk=True)
-        assert not list(tmp_path.rglob("*.jsonl"))
-        shared_aggregates_from_config(TINY)
+        with use_corpus_cache(tmp_path):
+            shared_aggregates_from_config(TINY)
+            clear_corpus_cache(tmp_path)
+            assert not list(tmp_path.rglob("*.jsonl"))
+            shared_aggregates_from_config(TINY)
         assert len(generations) == 2
         assert len(classifications) == 2 * TINY.total_papers
 
     def test_cached_corpus_equals_generated(self, tmp_path):
-        configure_corpus_cache(str(tmp_path))
-        cold = shared_columnar_corpus_from_config(TINY).fingerprint()
-        clear_corpus_cache()
-        warm = shared_columnar_corpus_from_config(TINY)
+        with use_corpus_cache(tmp_path):
+            cold = shared_columnar_corpus_from_config(TINY).fingerprint()
+            clear_corpus_cache()
+            warm = shared_columnar_corpus_from_config(TINY)
         assert warm.fingerprint() == cold
         for _ in warm.iter_shards():
             assert warm.resident_shards() <= 1
 
     def test_warm_load_classifies_nothing(self, tmp_path, classifications):
         cold = shared_aggregates_from_config(TINY)  # no disk cache: fresh scan
-        configure_corpus_cache(str(tmp_path))
-        clear_corpus_cache()
-        shared_aggregates_from_config(TINY)  # cold disk: scanned and persisted
-        clear_corpus_cache()
-        del classifications[:]
-        warm = shared_aggregates_from_config(TINY)
+        with use_corpus_cache(tmp_path):
+            clear_corpus_cache()
+            shared_aggregates_from_config(TINY)  # cold disk: scanned and persisted
+            clear_corpus_cache()
+            del classifications[:]
+            warm = shared_aggregates_from_config(TINY)
         assert classifications == []
         assert warm == cold
 
-    def test_configure_returns_previous(self, tmp_path):
-        previous = configure_corpus_cache(str(tmp_path))
-        assert corpus_cache_dir() == str(tmp_path)
-        assert configure_corpus_cache(previous) == str(tmp_path)
+
+TINY_PARAMS = CorpusParams(start_year=2023, end_year=2024, authors_per_venue_pool=10)
+#: 10,560 papers: two ``SHARD_SIZE`` shards, so a streamed corpus reloads.
+TWO_SHARD_PARAMS = CorpusParams(
+    start_year=2024, end_year=2025, venue_scale=12, authors_per_venue_pool=10
+)
+
+
+def corpus_specs(params=TINY_PARAMS):
+    """One aggregates reader and one shard reader over a corpus."""
+    return [E3Spec(seed=7, corpus=params), E12Spec(seed=7, corpus=params)]
+
+
+class TestCacheRootScope:
+    """The cache root a run names is the only one its corpus touches."""
+
+    def test_replay_in_another_directory_reads_only_it(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        specs = corpus_specs(TWO_SHARD_PARAMS)
+        SuiteRunner(cache_dir=str(first)).run_points(specs)
+        shutil.copytree(first, second)
+        shutil.rmtree(first)  # the memoised corpus's directory is gone
+        metrics = MetricsRegistry()
+        report = SuiteRunner(
+            workers=2, cache_dir=str(second), metrics=metrics
+        ).run_points(specs)
+        assert not report.errors
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("artifacts.misses", 0) == 0
+        assert counters.get("shardgen.recovered_shards", 0) == 0
+        assert counters.get("artifacts.writes", 0) == 0
+        assert counters.get("artifacts.hits", 0) > 0
+        assert not first.exists()
+
+    def test_concurrent_runs_keep_their_own_roots(self, tmp_path, monkeypatch):
+        # Interleave two runs so each experiment runs while the other
+        # run is live: run 1 starts its experiment, run 2 starts, run 1
+        # reads its corpus and finishes, then run 2 reads its corpus.
+        roots = {name: tmp_path / name for name in ("one", "two")}
+        first_started = threading.Event()
+        second_started = threading.Event()
+        first_done = threading.Event()
+        touched = {name: set() for name in roots}
+        real_path_for = ArtifactCache.path_for
+        real_get_experiment = runner_module.get_experiment
+
+        def path_for(cache, kind, config):
+            touched[threading.current_thread().name].add(cache.root)
+            return real_path_for(cache, kind, config)
+
+        def get_experiment(experiment_id):
+            run = real_get_experiment(experiment_id)
+
+            def interleaved(spec):
+                if threading.current_thread().name == "one":
+                    first_started.set()
+                    assert second_started.wait(30)
+                else:
+                    second_started.set()
+                    assert first_done.wait(30)
+                return run(spec)
+
+            return interleaved
+
+        monkeypatch.setattr(ArtifactCache, "path_for", path_for)
+        monkeypatch.setattr(runner_module, "get_experiment", get_experiment)
+        reports = {}
+
+        def run(name):
+            runner = SuiteRunner(cache_dir=str(roots[name]), keep_going=False)
+            reports[name] = runner.run_points(corpus_specs()[:1])
+            if name == "one":
+                first_done.set()
+
+        threads = {name: threading.Thread(target=run, args=(name,), name=name)
+                   for name in roots}
+        threads["one"].start()
+        assert first_started.wait(30)
+        threads["two"].start()
+        for thread in threads.values():
+            thread.join(60)
+            assert not thread.is_alive()
+        assert {name: report.errors for name, report in reports.items()} == {
+            "one": [], "two": [],
+        }
+        for name, root in roots.items():
+            assert touched[name] == {root}, name
+            kinds = {path.name for path in root.iterdir()}
+            assert kinds == {"corpus-shard", AGGREGATES_ARTIFACT_KIND}, name
+
+    def test_serve_stats_read_through_the_service_cache(self, tmp_path, monkeypatch):
+        from repro.bibliometrics import shardgen
+
+        config = _corpus.corpus_config_from_params(7, TINY_PARAMS)
+        cold = ArtifactCache(tmp_path / "cold")
+        compute_corpus_stats(config, cache=cold)
+        assert len(list((cold.root / "corpus-shard").glob("*.jsonl"))) == 1
+
+        warm = tmp_path / "warm"
+        SuiteRunner(cache_dir=str(warm)).run_points(corpus_specs()[1:])
+        clear_corpus_cache()
+        built = []
+        real = shardgen.generate_shard
+        monkeypatch.setattr(
+            shardgen, "generate_shard", lambda *a: built.append(a) or real(*a)
+        )
+        rows = compute_corpus_stats(config, cache=ArtifactCache(warm))
+        assert built == []
+        assert rows == compute_corpus_stats(config, cache=cold)
 
 
 def cold_then_warm(preset, seed, cache_dir, experiments=CORPUS_EXPERIMENTS):
@@ -218,10 +329,9 @@ def cold_then_warm(preset, seed, cache_dir, experiments=CORPUS_EXPERIMENTS):
         return [result_fingerprint(get_experiment(s.EXPERIMENT_ID)(s)) for s in specs]
 
     cold = run_all()
-    configure_corpus_cache(str(cache_dir))
-    run_all()  # scans once more and persists
-    warm = run_all()
-    configure_corpus_cache(None)
+    with use_corpus_cache(cache_dir):
+        run_all()  # scans once more and persists
+        warm = run_all()
     clear_corpus_cache()
     return dict(zip(experiments, zip(cold, warm)))
 
@@ -229,11 +339,7 @@ def cold_then_warm(preset, seed, cache_dir, experiments=CORPUS_EXPERIMENTS):
 class TestColdWarmEquality:
     @pytest.fixture(scope="class")
     def full_fingerprints(self, tmp_path_factory):
-        saved = configure_corpus_cache(None)
-        try:
-            return cold_then_warm("full", 0, tmp_path_factory.mktemp("full"))
-        finally:
-            configure_corpus_cache(saved)
+        return cold_then_warm("full", 0, tmp_path_factory.mktemp("full"))
 
     @pytest.mark.parametrize("experiment_id", CORPUS_EXPERIMENTS)
     def test_full_preset_fingerprints_identical(self, experiment_id, full_fingerprints):

@@ -38,6 +38,7 @@ from repro.integrity import (
     verify_entry,
 )
 from repro.io.artifacts import ArtifactCache
+from repro.obs.tracing import Tracer, use_tracer
 
 #: Small fixed corpus: 4 shards, seconds to generate, stable identity.
 CONFIG = dict(
@@ -190,6 +191,31 @@ class TestCorruptThenRepairRoundTrip:
         )
         assert report.repair_counts() == {"deleted": 1}
         assert not target.exists()
+
+    @pytest.mark.parametrize("misplace", ["stray", "renamed"])
+    def test_misplaced_entry_is_gone_after_one_repair(self, tmp_path, misplace):
+        cache_dir = tmp_path / "cache"
+        generate_columnar_corpus(corpus_config(), cache_dir=str(cache_dir))
+        entry = shard_entries(cache_dir)[0]
+        pristine = entry.read_bytes()
+        if misplace == "stray":  # an intact copy under another kind
+            moved = cache_dir / "corpus-aggregates" / entry.name
+            moved.parent.mkdir()
+            shutil.copyfile(entry, moved)
+        else:  # the filename is no longer its content address
+            moved = entry.with_name("renamed.jsonl")
+            entry.rename(moved)
+        report = scrub_cache(cache_dir)
+        assert [f.path for f in report.findings] == [str(moved)]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            report = repair_cache(cache_dir, report)
+        assert report.repair_counts() == {"regenerated": 1}
+        assert scrub_cache(cache_dir).findings == []
+        assert not moved.exists()
+        assert entry.read_bytes() == pristine
+        (span,) = [s for s in tracer.finished if s.name == "integrity.repair"]
+        assert span.attributes["misplaced"] == 1
 
 
 class TestDamageTaxonomy:
