@@ -71,23 +71,26 @@ bench-gate:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench run scanner tfidf --repeats 12
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench gate
 
-# The gate machinery end to end against a throwaway ledger: two honest
-# runs must pass, then a synthetically inflated (+50%) entry must make
-# the gate exit non-zero — proving it can actually fail.
+# The gate machinery end to end against a throwaway ledger: one real
+# scanner run, then a synthetic copy of its row at x1.0 (a flat series)
+# must pass the gate, and one at x1.5 must make it exit non-zero —
+# proving it can actually fail.  Gating one ~0.4 ms timing against
+# another real one failed at random on unchanged code, so the flat
+# case is synthetic too.
+BENCH_SMOKE_APPEND = from repro.bench.ledger import append_entries, load_ledger, make_entry; \
+	last = load_ledger('.bench-smoke/ledger.json')[-1]; \
+	append_entries('.bench-smoke/ledger.json', [make_entry( \
+		last['bench'], last['value'] * FACTOR, metric=last['metric'], \
+		context={'synthetic': True})])
+
 bench-gate-smoke:
 	rm -rf .bench-smoke && mkdir -p .bench-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench run scanner \
 		--ledger .bench-smoke/ledger.json --repeats 3
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench run scanner \
-		--ledger .bench-smoke/ledger.json --repeats 3
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -c "FACTOR = 1.0; $(BENCH_SMOKE_APPEND)"
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench gate scanner \
 		--ledger .bench-smoke/ledger.json
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -c "from repro.bench.ledger import append_entries, load_ledger, make_entry; \
-		rows = load_ledger('.bench-smoke/ledger.json'); \
-		last = rows[-1]; \
-		append_entries('.bench-smoke/ledger.json', [make_entry( \
-			last['bench'], last['value'] * 1.5, metric=last['metric'], \
-			context={'synthetic': True})])"
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -c "FACTOR = 1.5; $(BENCH_SMOKE_APPEND)"
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench gate scanner \
 		--ledger .bench-smoke/ledger.json && exit 1 || true
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro bench report \

@@ -3,7 +3,9 @@
 - :data:`RESULTS_DIR` / :data:`LEDGER_PATH` — where benchmarks persist
   their JSON artifacts and the bench ledger
   (``benchmarks/results/BENCH_history.json``) that ``repro bench
-  report``/``gate`` read;
+  report``/``gate`` read; :data:`BUILD_DIR` — the untracked directory
+  for results of a quick (``REPRO_BENCH_FAST=1``) run, which must not
+  replace a committed one;
 - :func:`peak_rss_bytes` / :func:`measure_peak_rss` — peak-RSS probes.
 
 The experiments themselves are timed end to end by
@@ -19,6 +21,7 @@ from typing import Any, Callable
 
 RESULTS_DIR = Path(__file__).parent / "results"
 LEDGER_PATH = RESULTS_DIR / "BENCH_history.json"
+BUILD_DIR = Path(__file__).resolve().parent.parent / ".bench_build"
 
 #: ``ru_maxrss`` unit: kilobytes on Linux, bytes on macOS.
 _RU_MAXRSS_UNIT = 1 if sys.platform == "darwin" else 1024

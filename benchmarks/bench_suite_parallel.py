@@ -12,14 +12,16 @@ Every run must also produce the *same* report fingerprint — this bench
 doubles as an end-to-end determinism check on the real suite.
 
 Full (non-fast) mode by default, matching the acceptance criterion;
-set ``REPRO_BENCH_FAST=1`` to iterate on the harness quickly.
+set ``REPRO_BENCH_FAST=1`` to iterate on the harness quickly.  A fast
+run writes ``.bench_build/suite_parallel.json`` instead, so it never
+replaces the committed full-preset result.
 """
 
 import json
 import os
 import time
 
-from _harness import RESULTS_DIR
+from _harness import BUILD_DIR, RESULTS_DIR
 
 from repro.experiments._corpus import (
     clear_corpus_cache,
@@ -72,7 +74,8 @@ def test_suite_wall_clock_scaling(tmp_path):
             for run in runs
         ],
     }
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / "suite_parallel.json").write_text(
+    out_dir = BUILD_DIR if fast else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "suite_parallel.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

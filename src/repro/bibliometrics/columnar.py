@@ -47,6 +47,7 @@ from repro.errors import IntegrityError
 
 __all__ = [
     "HUMAN_FAMILY_ORDER",
+    "MANIFEST_ARTIFACT_KIND",
     "SHARD_ARTIFACT_KIND",
     "SHARD_SCHEMA_VERSION",
     "ColumnarCorpus",
@@ -57,10 +58,15 @@ __all__ = [
     "encode_shard",
     "merge_fingerprints",
     "paper_id_for",
+    "shard_manifest_row",
 ]
 
 #: Artifact-cache kind for streamed corpus shards.
 SHARD_ARTIFACT_KIND = "corpus-shard"
+
+#: Artifact-cache kind for a corpus's shard manifest: one
+#: :func:`shard_manifest_row` per shard, so a warm open reads no shard.
+MANIFEST_ARTIFACT_KIND = "corpus-manifest"
 
 #: Bump when the column set or encoding changes shape; old cache
 #: entries become unreachable and shards are regenerated on demand.
@@ -320,6 +326,23 @@ def decode_shard(records: list[dict]) -> ColumnarShard:
         paper_offset=int(header["paper_offset"]),
         **columns,  # type: ignore[arg-type]
     )
+
+
+def shard_manifest_row(shard: ColumnarShard, sha256: str | None) -> dict:
+    """One shard's row in every corpus manifest.
+
+    The cache's ``corpus-manifest`` entry, a snapshot's ``shards`` list
+    and ``repro corpus generate``'s ``manifest.json`` all hold these
+    rows.  ``sha256`` is the digest of the shard's encoded body: the
+    cache entry's header ``sha256`` and the snapshot object's name
+    (None when the shard landed in no cache).
+    """
+    return {
+        "index": shard.index,
+        "n_papers": shard.n_papers,
+        "sha256": sha256,
+        "fingerprint": shard.fingerprint(),
+    }
 
 
 def merge_fingerprints(shard_fingerprints: Iterable[str]) -> str:

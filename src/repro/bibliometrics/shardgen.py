@@ -28,9 +28,12 @@ count:
   can regenerate cheaply, so no shard ever waits on another.
 - **Streaming through the artifact cache.**  With a cache directory,
   each worker writes its shard as a ``corpus-shard`` artifact and
-  returns only metadata; the parent never holds more than one decoded
-  shard (``stream=True``), so a 10⁶–10⁷-paper corpus never fully
-  materializes in RAM.
+  returns only its manifest row; the parent never holds more than one
+  decoded shard (``stream=True``), so a 10⁶–10⁷-paper corpus never
+  fully materializes in RAM.
+- **Warm opens read one entry.**  Once every shard is in the cache,
+  the rows land as one ``corpus-manifest`` entry; a later open builds
+  the corpus from it and reads no shard until one is used.
 - **Crash-safe.**  Shards run under the same
   :class:`~repro.runtime.supervisor.WorkerSupervisor` as suite
   experiments (fault site ``shardgen:shard``): a killed worker rebuilds
@@ -52,6 +55,7 @@ import numpy as np
 
 from repro.bibliometrics.columnar import (
     HUMAN_FAMILY_ORDER,
+    MANIFEST_ARTIFACT_KIND,
     SHARD_ARTIFACT_KIND,
     SHARD_SCHEMA_VERSION,
     ColumnarCorpus,
@@ -60,6 +64,7 @@ from repro.bibliometrics.columnar import (
     TextColumn,
     decode_shard,
     encode_shard,
+    shard_manifest_row,
 )
 from repro.bibliometrics.corpus import Venue
 from repro.bibliometrics.synthgen import (
@@ -84,6 +89,7 @@ __all__ = [
     "build_vocab",
     "generate_columnar_corpus",
     "generate_shard",
+    "manifest_cache_config",
     "shard_cache_config",
     "topic_skeleton",
 ]
@@ -172,21 +178,25 @@ class ShardedCorpusConfig:
         return asdict(self)
 
 
+def manifest_cache_config(
+    config: ShardedCorpusConfig, profiles: list[VenueProfile]
+) -> dict:
+    """The artifact-cache key config of a corpus's ``corpus-manifest``.
+
+    The full generator config *and* the venue profiles, so a custom
+    panel can never alias the default one.
+    """
+    return {"config": config.to_dict(), "profiles": [asdict(p) for p in profiles]}
+
+
 def shard_cache_config(
     config: ShardedCorpusConfig,
     profiles: list[VenueProfile],
     shard_index: int,
 ) -> dict:
-    """The artifact-cache key config for one shard.
-
-    Includes the full generator config *and* the venue profiles, so a
-    custom panel can never alias the default one, plus the shard index.
-    """
-    return {
-        "config": config.to_dict(),
-        "profiles": [asdict(p) for p in profiles],
-        "shard": shard_index,
-    }
+    """The artifact-cache key config for one shard: the manifest's
+    key plus the shard index."""
+    return {**manifest_cache_config(config, profiles), "shard": shard_index}
 
 
 class CorpusPlan:
@@ -686,18 +696,22 @@ def _produce_shard(
     cache_dir: str | None,
     keep_shard: bool,
 ) -> tuple[ColumnarShard | None, dict]:
-    """Generate-or-load one shard; returns ``(shard_or_None, meta)``.
+    """Generate-or-load one shard; returns ``(shard_or_None, row)``.
 
     With a cache directory the shard is read through (and written to)
     the artifact cache — concurrent producers serialize on the per-key
-    lock, so racing workers generate each shard at most once.
+    lock, so racing workers generate each shard at most once.  The
+    :func:`shard_manifest_row`'s ``sha256`` is the entry's digest, or
+    None when the shard landed in no entry.
     """
     from repro.io.artifacts import ArtifactCache
 
+    sha256 = None
     if cache_dir is None:
         shard = generate_shard(config, profiles, shard_index)
     else:
         cache = ArtifactCache(cache_dir, version=SHARD_SCHEMA_VERSION, sweep=False)
+        key = shard_cache_config(config, profiles, shard_index)
         holder: dict[str, ColumnarShard] = {}
 
         def factory() -> list[dict]:
@@ -705,18 +719,10 @@ def _produce_shard(
             holder["shard"] = built
             return encode_shard(built)
 
-        records = cache.get_or_create(
-            SHARD_ARTIFACT_KIND,
-            shard_cache_config(config, profiles, shard_index),
-            factory,
-        )
+        records = cache.get_or_create(SHARD_ARTIFACT_KIND, key, factory)
         shard = holder.get("shard") or decode_shard(records)
-    meta = {
-        "shard": shard_index,
-        "n_papers": shard.n_papers,
-        "sha": shard.fingerprint(),
-    }
-    return (shard if keep_shard else None), meta
+        sha256 = cache.declared_digest(SHARD_ARTIFACT_KIND, key)
+    return (shard if keep_shard else None), shard_manifest_row(shard, sha256)
 
 
 def _shard_task(task: dict) -> dict:
@@ -734,14 +740,34 @@ def _shard_task(task: dict) -> dict:
     with use_fault_injector(injector):
         if injector is not None:
             injector.check(FAULT_SITE)
-        shard, meta = _produce_shard(
+        shard, row = _produce_shard(
             task["config"], task["profiles"], task["shard"],
             task["cache_dir"], task["keep_shard"],
         )
-    result = dict(meta)
+    result = dict(row)
     if shard is not None:
         result["payload"] = shard
     return result
+
+
+def _manifest_rows(cache, key: dict, sizes: list[int]) -> list[dict] | None:
+    """The cached ``corpus-manifest`` rows, or None unless they are intact
+    and describe exactly the planned shards (the cache verified the
+    entry's digest; this checks what it says)."""
+    rows = cache.get(MANIFEST_ARTIFACT_KIND, key)
+    if rows is None or len(rows) != len(sizes):
+        return None
+    for index, (row, size) in enumerate(zip(rows, sizes)):
+        if (
+            not isinstance(row, dict)
+            or set(row) != {"index", "n_papers", "sha256", "fingerprint"}
+            or row["index"] != index
+            or row["n_papers"] != size
+            or not isinstance(row["sha256"], str)
+            or not isinstance(row["fingerprint"], str)
+        ):
+            return None
+    return rows
 
 
 def generate_columnar_corpus(
@@ -755,6 +781,18 @@ def generate_columnar_corpus(
     on_shard: Callable[[dict], None] | None = None,
 ) -> ColumnarCorpus:
     """Generate (or reload) a sharded columnar corpus.
+
+    With a ``cache_dir``, a warm open reads the corpus's one
+    ``corpus-manifest`` entry (a :func:`shard_manifest_row` per shard)
+    and builds the corpus from it: it starts no workers and reads no
+    shard.  Each shard is then loaded on first use, and that load
+    checks the entry's body digest and the shard's fingerprint
+    against the row.  When the manifest is missing, damaged, or
+    disagrees with the planned shard sizes, every shard is produced
+    (generated, or replayed from its own entry), and the manifest is
+    written once every shard has an entry (a lock-timeout fallback
+    leaves one without).  ``shardgen.manifest_hits`` and
+    ``shardgen.manifest_rebuilds`` count the two paths.
 
     Args:
         config: Generator parameters (default: the default config).
@@ -771,15 +809,18 @@ def generate_columnar_corpus(
         fault_injector: Optional
             :class:`~repro.runtime.faultinject.FaultInjector` that every
             shard task consults (site ``shardgen:shard``) at any worker
-            count.  An ordinary exception it injects propagates.
-        on_shard: Optional callback invoked with each shard's metadata
-            as it completes (progress reporting).
+            count.  An ordinary exception it injects propagates.  A
+            manifest hit runs no shard task.
+        on_shard: Optional callback invoked with each shard's manifest
+            row as it completes (progress reporting); on a manifest hit,
+            once per row in shard order.
 
     Returns:
         A :class:`ColumnarCorpus` whose fingerprint depends only on
         ``(config, profiles)``.
     """
     from repro.errors import WorkerCrashError
+    from repro.obs.metrics import current_metrics
     from repro.runtime.supervisor import WorkerSupervisor
 
     config = config or ShardedCorpusConfig()
@@ -787,74 +828,84 @@ def generate_columnar_corpus(
     if stream and cache_dir is None:
         raise ValueError("stream=True requires a cache_dir to stream through")
     plan = CorpusPlan(config, profiles)
-    vocab = build_vocab(config, profiles, plan)
-    keep_shards = not stream
-    metas: dict[int, dict] = {}
-    shards: dict[int, ColumnarShard] = {}
-    width = min(workers, plan.n_shards)
-    fault = fault_injector.to_task() if fault_injector is not None else None
-    tasks = {
-        index: {
-            "config": config,
-            "profiles": profiles,
-            "shard": index,
-            "cache_dir": cache_dir,
-            # Pool workers with a cache return only metadata; the
-            # parent reloads from the cache on demand.
-            "keep_shard": keep_shards and (cache_dir is None or width == 1),
-            "fault": fault,
-            "worker_crashes": 0,
-        }
-        for index in range(plan.n_shards)
-    }
-    supervisor = WorkerSupervisor(workers=width, cache_dir=cache_dir)
-    outcomes = supervisor.run(
-        _shard_task, [(i, task, {"shard": i}) for i, task in tasks.items()]
-    )
-    with contextlib.closing(outcomes):
-        for index, result, error in outcomes:
-            if isinstance(error, WorkerCrashError):
-                # A quarantined shard: generate it here, where kill
-                # faults do not fire, so the corpus always completes
-                # with the same bytes.
-                result = _shard_task(tasks[index])
-            elif error is not None:
-                raise error
-            payload = result.pop("payload", None)
-            if payload is not None and keep_shards:
-                shards[index] = payload
-            metas[index] = result
-            if on_shard is not None:
-                on_shard(result)
-
     sizes = plan.shard_sizes()
-    fingerprints = [metas[i]["sha"] for i in range(plan.n_shards)]
-
+    keep_shards = not stream
+    shards: dict[int, ColumnarShard] = {}
+    cache = manifest_key = rows = None
     if cache_dir is not None:
+        from repro.io.artifacts import ArtifactCache
+
+        cache = ArtifactCache(cache_dir, version=SHARD_SCHEMA_VERSION, sweep=False)
+        manifest_key = manifest_cache_config(config, profiles)
+        rows = _manifest_rows(cache, manifest_key, sizes)
+    if rows is not None:
+        current_metrics().count("shardgen.manifest_hits")
+        if on_shard is not None:
+            for row in rows:
+                on_shard(row)
+    else:
+        by_index: dict[int, dict] = {}
+        width = min(workers, plan.n_shards)
+        fault = fault_injector.to_task() if fault_injector is not None else None
+        tasks = {
+            index: {
+                "config": config,
+                "profiles": profiles,
+                "shard": index,
+                "cache_dir": cache_dir,
+                # Pool workers with a cache return only the row; the
+                # parent reloads from the cache on demand.
+                "keep_shard": keep_shards and (cache_dir is None or width == 1),
+                "fault": fault,
+                "worker_crashes": 0,
+            }
+            for index in range(plan.n_shards)
+        }
+        supervisor = WorkerSupervisor(workers=width, cache_dir=cache_dir)
+        outcomes = supervisor.run(
+            _shard_task, [(i, task, {"shard": i}) for i, task in tasks.items()]
+        )
+        with contextlib.closing(outcomes):
+            for index, result, error in outcomes:
+                if isinstance(error, WorkerCrashError):
+                    # A quarantined shard: generate it here, where kill
+                    # faults do not fire, so the corpus always completes
+                    # with the same bytes.
+                    result = _shard_task(tasks[index])
+                elif error is not None:
+                    raise error
+                payload = result.pop("payload", None)
+                if payload is not None and keep_shards:
+                    shards[index] = payload
+                by_index[index] = result
+                if on_shard is not None:
+                    on_shard(result)
+        rows = [by_index[i] for i in range(plan.n_shards)]
+        if cache is not None and all(row["sha256"] for row in rows):
+            cache.put(MANIFEST_ARTIFACT_KIND, manifest_key, rows)
+            current_metrics().count("shardgen.manifest_rebuilds")
+
+    if cache is not None:
         def loader(index: int) -> ColumnarShard:
             shard = shards.get(index)
             if shard is not None:
                 return shard
-            from repro.io.artifacts import ArtifactCache
-
-            cache = ArtifactCache(
-                cache_dir, version=SHARD_SCHEMA_VERSION, sweep=False
-            )
-            records = cache.get(
-                SHARD_ARTIFACT_KIND,
-                shard_cache_config(config, profiles, index),
-            )
+            # shard_cache_config, without re-serializing the venue
+            # panel on every load.
+            key = {**manifest_key, "shard": index}
+            records = cache.get(SHARD_ARTIFACT_KIND, key)
             if records is not None:
                 return decode_shard(records)
             # Evicted or corrupted behind our back (the cache verifies
             # the body digest on every read, so bit-rot lands here too):
             # regenerate — the shard is a pure function of
-            # (config, index).  Counted so a scrubbed-around corruption
-            # is visible in `repro obs report`, not silent.
-            from repro.obs.metrics import current_metrics
-
+            # (config, index) — and land it again for the next open.
+            # Counted so a scrubbed-around corruption shows in the
+            # metrics export (`--metrics-out`), not silent.
             current_metrics().count("shardgen.recovered_shards")
-            return generate_shard(config, profiles, index)
+            shard = generate_shard(config, profiles, index)
+            cache.put(SHARD_ARTIFACT_KIND, key, encode_shard(shard))
+            return shard
     else:
         def loader(index: int) -> ColumnarShard:
             shard = shards.get(index)
@@ -863,9 +914,9 @@ def generate_columnar_corpus(
             return generate_shard(config, profiles, index)
 
     return ColumnarCorpus(
-        vocab,
+        build_vocab(config, profiles, plan),
         sizes,
         loader,
-        shard_fingerprints=fingerprints,
+        shard_fingerprints=[row["fingerprint"] for row in rows],
         max_resident=1 if stream else None,
     )

@@ -432,12 +432,12 @@ def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
         print("error: --stream needs --cache-dir (or an output directory) "
               "to stream shards through", file=sys.stderr)
         return 2
-    done = {"n": 0}
+    rows: list[dict] = []
 
-    def progress(meta: dict) -> None:
-        done["n"] += 1
-        print(f"  shard {meta['shard']:4d}  {meta['n_papers']:7d} papers  "
-              f"[{done['n']} done]", flush=True)
+    def progress(row: dict) -> None:
+        rows.append(row)
+        print(f"  shard {row['index']:4d}  {row['n_papers']:7d} papers  "
+              f"[{len(rows)} done]", flush=True)
 
     start = _time.perf_counter()
     corpus = generate_columnar_corpus(
@@ -458,8 +458,7 @@ def _cmd_corpus_sharded(args: argparse.Namespace) -> int:
         manifest = {
             "config": config.to_dict(),
             "n_papers": len(corpus),
-            "n_shards": corpus.n_shards,
-            "shard_sizes": corpus.shard_sizes(),
+            "shards": sorted(rows, key=lambda row: row["index"]),
             "fingerprint": fingerprint,
             "cache_dir": cache_dir,
         }

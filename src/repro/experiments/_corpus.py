@@ -15,12 +15,13 @@ Both the corpus and its aggregates cache at two levels:
   around every experiment call, serve its service cache's), so each
   thread sees only the root it entered.  The generator streams its
   ``corpus-shard`` entries through a
-  :class:`repro.io.artifacts.ArtifactCache` there, and the scanned
-  aggregates land as one ``corpus-aggregates`` entry per corpus
-  config.  A warm load of the aggregates therefore classifies no text
-  at all.  Per-key file locks ensure racing workers generate and scan
-  at most once.  Shards are regenerated byte-identically by the
-  scrubber; a damaged aggregates entry is deleted and rescanned on the
+  :class:`repro.io.artifacts.ArtifactCache` there, plus one
+  ``corpus-manifest`` entry that lets a warm open read no shard, and
+  the scanned aggregates land as one ``corpus-aggregates`` entry per
+  corpus config.  A warm load of the aggregates therefore classifies
+  no text at all.  Per-key file locks ensure racing workers generate and scan
+  at most once.  Shards and the manifest are regenerated
+  byte-identically by the scrubber; a damaged aggregates entry is deleted and rescanned on the
   next read.  With no root in effect nothing touches the disk.
 - **In memory** — one small explicit LRU keyed by the root as well as
   the config, so a corpus memoised for one root (or for none) never
@@ -36,7 +37,11 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from repro.bibliometrics.columnar import SHARD_ARTIFACT_KIND, ColumnarCorpus
+from repro.bibliometrics.columnar import (
+    MANIFEST_ARTIFACT_KIND,
+    SHARD_ARTIFACT_KIND,
+    ColumnarCorpus,
+)
 from repro.bibliometrics.shardgen import (
     ShardedCorpusConfig,
     generate_columnar_corpus,
@@ -120,17 +125,20 @@ def clear_corpus_cache(cache_dir: str | os.PathLike | None = None) -> None:
     """Drop every cached corpus and aggregate from memory (and optionally disk).
 
     Args:
-        cache_dir: Also invalidate this cache root's ``corpus-shard``
-            and ``corpus-aggregates`` entries, forcing regeneration in
-            every process; the invalidation hook tests and campaign
-            tooling use this after a generator change.
+        cache_dir: Also invalidate this cache root's ``corpus-shard``,
+            ``corpus-manifest`` and ``corpus-aggregates`` entries,
+            forcing regeneration in every process; the invalidation
+            hook tests and campaign tooling use this after a generator
+            change.
     """
     with _lock:
         _memory.clear()
     if cache_dir is not None:
         cache = ArtifactCache(cache_dir)
-        cache.invalidate(SHARD_ARTIFACT_KIND)
-        cache.invalidate(AGGREGATES_ARTIFACT_KIND)
+        for kind in (
+            SHARD_ARTIFACT_KIND, MANIFEST_ARTIFACT_KIND, AGGREGATES_ARTIFACT_KIND
+        ):
+            cache.invalidate(kind)
 
 
 def _remember(key: tuple, value: object) -> None:

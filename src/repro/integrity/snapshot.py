@@ -144,7 +144,11 @@ def export_snapshot(
         default_venue_profiles,
         generate_columnar_corpus,
     )
-    from repro.bibliometrics.columnar import encode_shard, merge_fingerprints
+    from repro.bibliometrics.columnar import (
+        encode_shard,
+        merge_fingerprints,
+        shard_manifest_row,
+    )
 
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -167,18 +171,11 @@ def export_snapshot(
 
     objects = directory / _OBJECTS_DIR
     shard_entries: list[dict] = []
-    fingerprints: list[str] = []
     for shard in corpus.iter_shards():
         lines = [jsonl_line(record) for record in encode_shard(shard)]
         digest = lines_digest(lines)
         write_jsonl_lines(objects / f"{digest}.jsonl", lines)
-        fingerprints.append(shard.fingerprint())
-        shard_entries.append({
-            "index": shard.index,
-            "n_papers": shard.n_papers,
-            "sha256": digest,
-            "fingerprint": fingerprints[-1],
-        })
+        shard_entries.append(shard_manifest_row(shard, digest))
 
     config_dict = config.to_dict()
     profile_dicts = [asdict(profile) for profile in profiles]
@@ -192,7 +189,9 @@ def export_snapshot(
         "config_hash": snapshot_config_hash(config_dict, profile_dicts),
         "n_papers": sum(entry["n_papers"] for entry in shard_entries),
         "shards": shard_entries,
-        "fingerprint": merge_fingerprints(fingerprints),
+        "fingerprint": merge_fingerprints(
+            entry["fingerprint"] for entry in shard_entries
+        ),
     }
     manifest["manifest_sha256"] = _manifest_sha256(manifest)
     write_text_atomic(
@@ -277,9 +276,10 @@ def import_snapshot(
     Args:
         directory: The snapshot directory.
         cache_dir: When given, each verified shard is also landed in
-            that artifact cache (normal atomic puts), so subsequent
-            ``generate_columnar_corpus(..., cache_dir=...)`` calls
-            replay the snapshot warm instead of regenerating.
+            that artifact cache (normal atomic puts), and then the
+            verified rows as its ``corpus-manifest`` entry, so
+            subsequent ``generate_columnar_corpus(..., cache_dir=...)``
+            calls open the snapshot warm instead of regenerating.
         max_resident: LRU width for the returned corpus (default 1 —
             streaming; None keeps every decoded shard resident).
 
@@ -288,16 +288,19 @@ def import_snapshot(
         by the snapshot's object files.
     """
     from repro.bibliometrics.columnar import (
+        MANIFEST_ARTIFACT_KIND,
         SHARD_ARTIFACT_KIND,
         SHARD_SCHEMA_VERSION,
         ColumnarCorpus,
         decode_shard,
         merge_fingerprints,
+        shard_manifest_row,
     )
     from repro.bibliometrics.shardgen import (
         CorpusPlan,
         ShardedCorpusConfig,
         build_vocab,
+        manifest_cache_config,
         shard_cache_config,
     )
     from repro.bibliometrics.synthgen import VenueProfile
@@ -330,37 +333,37 @@ def import_snapshot(
 
         cache = ArtifactCache(cache_dir, version=SHARD_SCHEMA_VERSION, sweep=False)
 
-    fingerprints: list[str] = []
+    rows: list[dict] = []
     for entry in shard_entries:
         object_path = objects / f"{entry['sha256']}.jsonl"
         records = _read_object(object_path, entry["sha256"])
-        shard = decode_shard(records)
-        if shard.index != entry["index"] or shard.n_papers != entry["n_papers"]:
+        row = shard_manifest_row(decode_shard(records), entry["sha256"])
+        if (row["index"], row["n_papers"]) != (entry["index"], entry["n_papers"]):
             _fail(
                 f"snapshot object {object_path.name} decodes to shard "
-                f"{shard.index} ({shard.n_papers} papers); manifest says "
+                f"{row['index']} ({row['n_papers']} papers); manifest says "
                 f"shard {entry['index']} ({entry['n_papers']} papers)",
                 path=str(object_path),
                 kind=SHARD_ARTIFACT_KIND,
                 damage="bad_header",
             )
-        fingerprint = shard.fingerprint()
-        if fingerprint != entry["fingerprint"]:
+        if row["fingerprint"] != entry["fingerprint"]:
             _fail(
                 f"snapshot shard {entry['index']} fingerprint mismatch",
                 path=str(object_path),
                 kind=SHARD_ARTIFACT_KIND,
                 damage="bit_flipped",
                 expected=entry["fingerprint"],
-                actual=fingerprint,
+                actual=row["fingerprint"],
             )
-        fingerprints.append(fingerprint)
+        rows.append(row)
         if cache is not None:
             cache.put(
                 SHARD_ARTIFACT_KIND,
                 shard_cache_config(config, profiles, entry["index"]),
                 records,
             )
+    fingerprints = [row["fingerprint"] for row in rows]
     merged = merge_fingerprints(fingerprints)
     if merged != manifest.get("fingerprint"):
         _fail(
@@ -370,6 +373,10 @@ def import_snapshot(
             expected=manifest.get("fingerprint"),
             actual=merged,
         )
+    if cache is not None:
+        # The verified rows are the cache's corpus manifest too, so the
+        # next generate_columnar_corpus open reads no shard.
+        cache.put(MANIFEST_ARTIFACT_KIND, manifest_cache_config(config, profiles), rows)
 
     vocab = build_vocab(config, profiles, plan)
     by_index = {entry["index"]: entry for entry in shard_entries}

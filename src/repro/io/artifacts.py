@@ -386,6 +386,22 @@ class ArtifactCache:
             stage="read",
         )
 
+    def declared_digest(self, kind: str, config: dict) -> str | None:
+        """The body ``sha256`` the entry's header declares, or None.
+
+        Reads the header line only: for a caller that has just read or
+        written the entry (:meth:`get_or_create`) and needs its digest.
+        None when no entry landed (a lock-timeout fallback) or its
+        header does not parse.
+        """
+        try:
+            with self.path_for(kind, config).open("rb") as handle:
+                header = json.loads(handle.readline())
+        except (OSError, ValueError):
+            return None
+        digest = header.get("sha256") if isinstance(header, dict) else None
+        return digest if isinstance(digest, str) else None
+
     # -- write ---------------------------------------------------------
 
     def put(self, kind: str, config: dict, records: Iterable[dict]) -> Path:

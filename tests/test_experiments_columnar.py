@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.bibliometrics import shardgen
-from repro.bibliometrics.columnar import SHARD_ARTIFACT_KIND
+from repro.bibliometrics.columnar import MANIFEST_ARTIFACT_KIND, SHARD_ARTIFACT_KIND
 from repro.bibliometrics.shardscan import AGGREGATES_ARTIFACT_KIND
 from repro.experiments import _corpus
 from repro.experiments._corpus import (
@@ -90,7 +90,11 @@ class TestColumnarCaching:
                 path.name: len(list(path.glob("*.jsonl")))
                 for path in tmp_path.iterdir()
             }
-            assert kinds == {SHARD_ARTIFACT_KIND: 3, AGGREGATES_ARTIFACT_KIND: 1}
+            assert kinds == {
+                SHARD_ARTIFACT_KIND: 3,
+                MANIFEST_ARTIFACT_KIND: 1,
+                AGGREGATES_ARTIFACT_KIND: 1,
+            }
             clear_corpus_cache(tmp_path)
             assert not list(tmp_path.rglob("*.jsonl"))
             shared_aggregates_from_config(SHARDED)
@@ -105,7 +109,8 @@ class TestE3StreamedRooms:
         # venue_scale 2.3 puts the fast preset's 10,120 papers in two
         # SHARD_SIZE shards; with a disk cache the corpus streams, so
         # every shard the experiment touches is decoded from the cache
-        # again.
+        # again.  The cache is warm and the memory LRU empty, so the
+        # count includes the experiment's own open of the corpus.
         spec = spec_cls(corpus=CorpusParams(venue_scale=2.3))
         config = _corpus.corpus_config_from_params(spec.seed, spec.corpus)
         loads = Counter()
@@ -117,11 +122,12 @@ class TestE3StreamedRooms:
             return shard
 
         with use_corpus_cache(tmp_path):
-            corpus = shared_columnar_corpus_from_config(config)
-            assert corpus.n_shards == 2 and corpus.max_resident == 1
             shared_aggregates_from_config(config)
+            clear_corpus_cache()  # memory only; disk stays warm
             monkeypatch.setattr(shardgen, "decode_shard", counting)
             result = run(spec)
+            corpus = shared_columnar_corpus_from_config(config)  # memoised
+            assert corpus.n_shards == 2 and corpus.max_resident == 1
         assert result.checks
         assert loads, "read no shard: the probe is not on the load path"
         assert max(loads.values()) == 1, dict(loads)

@@ -2,8 +2,8 @@
 
 Covers the two-level cache over the shard-parallel generator: the
 in-memory LRU (one generation and one scan per key),
-``clear_corpus_cache`` (memory and disk), the disk layout (shards plus
-one aggregates entry), warm replays that are bit-identical to cold runs
+``clear_corpus_cache`` (memory and disk), the disk layout (shards, one
+corpus manifest and one aggregates entry), warm replays that are bit-identical to cold runs
 and classify no text, the aggregates codec, and the spec schema bump
 that keeps results of the earlier generator from being served.
 """
@@ -178,7 +178,7 @@ class TestDiskCache:
         with use_corpus_cache(tmp_path):
             shared_aggregates_from_config(TINY)
         kinds = {path.name: len(list(path.glob("*.jsonl"))) for path in tmp_path.iterdir()}
-        assert kinds == {"corpus-shard": 1, AGGREGATES_ARTIFACT_KIND: 1}
+        assert kinds == {"corpus-shard": 1, "corpus-manifest": 1, AGGREGATES_ARTIFACT_KIND: 1}
 
     def test_clear_disk_invalidates_artifacts(self, tmp_path, generations, classifications):
         with use_corpus_cache(tmp_path):
@@ -297,7 +297,7 @@ class TestCacheRootScope:
         for name, root in roots.items():
             assert touched[name] == {root}, name
             kinds = {path.name for path in root.iterdir()}
-            assert kinds == {"corpus-shard", AGGREGATES_ARTIFACT_KIND}, name
+            assert kinds == {"corpus-shard", "corpus-manifest", AGGREGATES_ARTIFACT_KIND}, name
 
     def test_serve_stats_read_through_the_service_cache(self, tmp_path, monkeypatch):
         from repro.bibliometrics import shardgen

@@ -38,6 +38,7 @@ from repro.integrity import (
     verify_entry,
 )
 from repro.io.artifacts import ArtifactCache
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracing import Tracer, use_tracer
 
 #: Small fixed corpus: 4 shards, seconds to generate, stable identity.
@@ -61,6 +62,10 @@ def flip_byte(path, offset=None):
 
 def shard_entries(cache_dir):
     return sorted((cache_dir / "corpus-shard").glob("*.jsonl"))
+
+
+def manifest_entries(cache_dir):
+    return sorted((cache_dir / "corpus-manifest").glob("*.jsonl"))
 
 
 class _TornWriter:
@@ -121,14 +126,14 @@ class TestCorruptThenRepairRoundTrip:
         entries = shard_entries(cache_dir)
         assert len(entries) == 4
 
-        damaged, intact = entries[:2], entries[2:]
+        damaged, intact = entries[:2], entries[2:] + manifest_entries(cache_dir)
         for path in damaged:
             flip_byte(path)
         damaged_before = {p: p.read_bytes() for p in damaged}
         intact_before = {p: p.read_bytes() for p in intact}
 
         report = scrub_cache(cache_dir)
-        assert report.entries == 4
+        assert report.entries == 5
         assert report.damaged == 2
         assert {f.key for f in report.findings} == {p.stem for p in damaged}
 
@@ -142,10 +147,16 @@ class TestCorruptThenRepairRoundTrip:
             assert path.read_bytes() != before
 
         assert scrub_cache(cache_dir).damaged == 0
-        replay = generate_columnar_corpus(
-            config, workers=1, cache_dir=str(cache_dir)
-        )
-        assert replay.fingerprint() == oracle
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            replay = generate_columnar_corpus(
+                config, workers=1, cache_dir=str(cache_dir)
+            )
+            assert replay.fingerprint() == oracle
+            # The open read the manifest only; each load checks the
+            # repaired shard's fingerprint against its row.
+            assert len(list(replay.iter_shards())) == 4
+        assert "shardgen.recovered_shards" not in metrics.snapshot()["counters"]
 
     def test_repaired_shard_is_byte_identical_to_the_original(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -154,6 +165,22 @@ class TestCorruptThenRepairRoundTrip:
         pristine = target.read_bytes()
         flip_byte(target)
         repair_cache(cache_dir)
+        assert target.read_bytes() == pristine
+
+    @pytest.mark.parametrize("how", ["flip", "truncate"])
+    def test_repaired_manifest_is_byte_identical_to_the_original(self, tmp_path, how):
+        cache_dir = tmp_path / "cache"
+        generate_columnar_corpus(corpus_config(), cache_dir=str(cache_dir))
+        (target,) = manifest_entries(cache_dir)
+        pristine = target.read_bytes()
+        # Damage a body row: the header (config and venue panel) is
+        # most of the file, and repair needs it readable.
+        if how == "flip":
+            flip_byte(target, len(pristine) - 20)
+        else:
+            target.write_bytes(pristine[:-20])
+        report = repair_cache(cache_dir)
+        assert report.repair_counts() == {"regenerated": 1}
         assert target.read_bytes() == pristine
 
     def test_unregenerable_kind_is_deleted_to_a_clean_miss(self, tmp_path):
@@ -357,9 +384,27 @@ class TestSnapshotRoundTrip:
         warm = tmp_path / "warm"
         import_snapshot(snap, cache_dir=str(warm))
         assert len(shard_entries(warm)) == 4
+        assert len(manifest_entries(warm)) == 1
         assert scrub_cache(warm).damaged == 0
-        replay = generate_columnar_corpus(config, cache_dir=str(warm))
-        assert replay.fingerprint() == manifest["fingerprint"]
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            replay = generate_columnar_corpus(config, cache_dir=str(warm))
+            assert replay.fingerprint() == manifest["fingerprint"]
+        counters = metrics.snapshot()["counters"]
+        assert counters["shardgen.manifest_hits"] == 1
+        assert "artifacts.writes" not in counters
+
+    def test_snapshot_rows_are_the_cache_manifest_rows(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        generate_columnar_corpus(corpus_config(), cache_dir=str(cache_dir))
+        (entry,) = manifest_entries(cache_dir)
+        cached_rows = [json.loads(line) for line in entry.read_text().splitlines()[1:]]
+        manifest = export_snapshot(
+            tmp_path / "snap", corpus_config(), tag="rows", cache_dir=str(cache_dir)
+        )
+        assert manifest["shards"] == cached_rows
+        for row in cached_rows:
+            assert (tmp_path / "snap" / "objects" / f"{row['sha256']}.jsonl").exists()
 
     def test_import_reads_each_object_once(self, tmp_path, monkeypatch):
         snap = tmp_path / "snap"
@@ -509,7 +554,7 @@ class TestCli:
             capsys, "integrity", "scrub", str(warm_cache)
         )
         assert code == 0
-        assert "4 intact, 0 damaged" in out
+        assert "5 intact, 0 damaged" in out
 
     def test_scrub_damage_exits_one_then_repair_heals(
         self, capsys, warm_cache
@@ -546,9 +591,10 @@ class TestCli:
         )
         assert code == 0
         stats = json.loads(out)
-        assert stats["entries"] == 4
+        assert stats["entries"] == 5
         assert stats["orphaned_tmp"] == 1
         assert stats["kinds"]["corpus-shard"]["entries"] == 4
+        assert stats["kinds"]["corpus-manifest"]["entries"] == 1
 
     def test_corpus_export_import_round_trip(self, capsys, tmp_path):
         snap = tmp_path / "snap"
@@ -593,7 +639,7 @@ class TestCli:
         code, _, _ = self.run_cli(capsys, *argv)
         assert code == 0
         before = (out_dir / "manifest.json").read_text()
-        torn_write_of('"shard_sizes"')
+        torn_write_of('"shards"')
         with pytest.raises(OSError):
             self.run_cli(capsys, *argv)
         assert (out_dir / "manifest.json").read_text() == before

@@ -33,6 +33,29 @@ def squares(n=3):
     return [{"i": i, "sq": i * i} for i in range(n)]
 
 
+#: Ways an entry file's bytes die, for the damage properties.
+DAMAGE_MODES = ("truncate", "flip", "append", "duplicate", "blank")
+
+
+def damaged(data: bytes, mode: str, where: int, mask: int) -> bytes:
+    """``data`` with one :data:`DAMAGE_MODES` damage placed by ``where``:
+    a cut, an XOR-flipped byte, an appended record, or a duplicated or
+    blank line."""
+    lines = data.splitlines(keepends=True)
+    line = where % len(lines)
+    if mode == "truncate":
+        return data[: where % len(data)]
+    if mode == "flip":
+        flipped = bytearray(data)
+        flipped[where % len(data)] ^= mask
+        return bytes(flipped)
+    if mode == "append":
+        return data + json.dumps({"i": where}).encode() + b"\n"
+    if mode == "duplicate":
+        return b"".join(lines[: line + 1] + lines[line:])
+    return b"".join(lines[:line] + [b"\n"] + lines[line:])
+
+
 class TestKeying:
     def test_key_is_stable(self):
         assert artifact_key("k", CONFIG, 1) == artifact_key("k", dict(CONFIG), 1)
@@ -196,29 +219,14 @@ class TestOneReader:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 4),
-        mode=st.sampled_from(("truncate", "flip", "append", "duplicate", "blank")),
+        mode=st.sampled_from(DAMAGE_MODES),
         where=st.integers(0, 10**6),
         mask=st.integers(1, 255),
     )
     def test_damaged_entries_read_alike(self, tmp_path_factory, n, mode, where, mask):
         cache = ArtifactCache(tmp_path_factory.mktemp("cache"), sweep=False)
         path = cache.put("squares", CONFIG, squares(n))
-        data = path.read_bytes()
-        lines = data.splitlines(keepends=True)
-        line = where % len(lines)
-        if mode == "truncate":
-            data = data[: where % len(data)]
-        elif mode == "flip":
-            flipped = bytearray(data)
-            flipped[where % len(data)] ^= mask
-            data = bytes(flipped)
-        elif mode == "append":
-            data += json.dumps({"i": where}).encode() + b"\n"
-        elif mode == "duplicate":
-            data = b"".join(lines[: line + 1] + lines[line:])
-        else:
-            data = b"".join(lines[:line] + [b"\n"] + lines[line:])
-        path.write_bytes(data)
+        path.write_bytes(damaged(path.read_bytes(), mode, where, mask))
 
         records = cache.get("squares", CONFIG)
         damage, _, _ = classify_entry(path)
