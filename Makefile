@@ -56,12 +56,22 @@ serve-smoke:
 
 # One fast experiment with tracing + metrics on; `obs report` re-parses
 # the trace and fails on a malformed span, so this asserts the whole
-# export -> parse -> render path.
+# export -> parse -> render path.  The same run at --workers 2 must
+# record the same multiset of span names and the same counter names.
+OBS_SMOKE_SAME = import collections, json; \
+	seen = lambda w: (collections.Counter(json.loads(line)['name'] for line in open(f'.obs-smoke/trace{w}.jsonl')), \
+		sorted(json.load(open(f'.obs-smoke/metrics{w}.json'))['counters'])); \
+	assert seen(1) == seen(2), (seen(1), seen(2)); \
+	print('obs-smoke: --workers 1 and 2 record the same span names and counter names')
+
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro run E11 \
-		--trace-out .obs-smoke/trace.jsonl --metrics-out .obs-smoke/metrics.json
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro obs report .obs-smoke/trace.jsonl
+		--trace-out .obs-smoke/trace1.jsonl --metrics-out .obs-smoke/metrics1.json
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro obs report .obs-smoke/trace1.jsonl
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m repro run E11 --workers 2 \
+		--trace-out .obs-smoke/trace2.jsonl --metrics-out .obs-smoke/metrics2.json
+	python -c "$(OBS_SMOKE_SAME)"
 	rm -rf .obs-smoke
 
 # The perf-regression gate against the committed ledger: re-measure the

@@ -40,11 +40,8 @@ from repro.integrity import (  # noqa: E402
     repair_cache,
     scrub_cache,
 )
-from repro.obs.metrics import MetricsRegistry, use_metrics  # noqa: E402
-from repro.runtime.faultinject import (  # noqa: E402
-    FaultInjector,
-    use_fault_injector,
-)
+from repro.obs.metrics import MetricsRegistry  # noqa: E402
+from repro.runtime.faultinject import FaultInjector  # noqa: E402
 from repro.serve.client import fetch  # noqa: E402
 from repro.serve.service import (  # noqa: E402
     ResultService,
@@ -134,15 +131,15 @@ def probe_serve_recomputes_through_corruption(tmp: Path) -> None:
     service = ResultService(
         ServeConfig(cache_dir=str(tmp / "serve-cache"), deadline=120.0),
         metrics=MetricsRegistry(),
+        fault_injector=injector,
     )
-    with use_metrics(service.metrics), use_fault_injector(injector):
-        with ServerThread(service) as server:
-            first = fetch(HOST, server.port, "/v1/result/E5?seed=0", timeout=120)
-            assert first.status == 200, first.status
-            assert injector.stats()["artifacts:damage"]["fired"] == 1
-            second = fetch(HOST, server.port, "/v1/result/E5?seed=0", timeout=120)
-            assert second.status == 200, second.status
-            assert second.json()["source"] == "computed", second.json()["source"]
+    with ServerThread(service) as server:
+        first = fetch(HOST, server.port, "/v1/result/E5?seed=0", timeout=120)
+        assert first.status == 200, first.status
+        assert injector.stats()["artifacts:damage"]["fired"] == 1
+        second = fetch(HOST, server.port, "/v1/result/E5?seed=0", timeout=120)
+        assert second.status == 200, second.status
+        assert second.json()["source"] == "computed", second.json()["source"]
     counters = service.metrics.snapshot()["counters"]
     assert counters["artifacts.integrity_failures"] == 1, counters
     assert "serve.responses.500" not in counters, counters

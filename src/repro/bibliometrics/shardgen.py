@@ -728,11 +728,11 @@ def _produce_shard(
 def _shard_task(task: dict) -> dict:
     """Supervisor entry point: produce one shard, return its result.
 
-    Consults the ``shardgen:shard`` fault site first, under the task's
-    injector installed process-wide (so ``artifacts:*``/``io:*`` sites
-    see it too) — in a pool worker and in-process alike.  Prior worker
-    crashes are credited against ``kill`` budgets, so a "crash once,
-    then succeed" schedule behaves identically across requeues.
+    Consults the ``shardgen:shard`` fault site first, with the task's
+    injector in effect (so ``artifacts:*``/``io:*`` sites see it too) —
+    in a pool worker and in-process alike.  Prior worker crashes are
+    credited against ``kill`` budgets, so a "crash once, then succeed"
+    schedule behaves identically across requeues.
     """
     from repro.runtime.faultinject import FaultInjector, use_fault_injector
 

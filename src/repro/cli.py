@@ -110,9 +110,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         print(describe_table().render())
         return 0
 
-    # --trace-out / --metrics-out install real collectors process-wide
-    # for the run, so the registry's stage spans and the JSONL row
-    # counters land in the same trace/snapshot as the runner's own.
+    # --trace-out / --metrics-out install real collectors for the run;
+    # the runner carries them into its threads and merges its workers'
+    # shards into them, so one trace/snapshot holds it at any --workers.
     tracer = Tracer() if args.trace_out else None
     metrics = MetricsRegistry() if args.metrics_out else None
     with ExitStack() as stack:

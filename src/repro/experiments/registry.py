@@ -2,7 +2,7 @@
 
 The registry is also the suite's single instrumentation point: every
 runner handed out by :func:`get_experiment` is wrapped in a stage span
-(``e07.run`` for E7, and so on) against the process-wide tracer — one
+(``e07.run`` for E7, and so on) against the tracer in effect — one
 decorator here instead of thirteen hand edits in the experiment
 modules.  With the default :class:`repro.obs.tracing.NullTracer`
 installed the wrapper costs one attribute lookup per run.

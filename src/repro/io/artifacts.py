@@ -268,7 +268,7 @@ def _metrics():
 
 
 def _damage_fault(point: str, path: Path) -> None:
-    """Offer a completed file to the process-wide injector for damage.
+    """Offer a completed file to the injector in effect for damage.
 
     The post-write counterpart of :func:`repro.io.jsonl._check_fault`:
     chaos tests arm ``bitrot``/``truncate`` at ``point`` and this hands

@@ -41,7 +41,7 @@ def _metrics():
 
 
 def _check_fault(point: str) -> None:
-    """Fire the process-wide fault injector at ``point``, if one is armed.
+    """Fire the fault injector in effect at ``point``, if one is armed.
 
     Lazy import for the same circularity reason as :func:`_metrics`.
     This is how chaos tests aim ``enospc`` (and friends) at the write

@@ -5,10 +5,11 @@ under the Gao–Rexford policy of :mod:`repro.netsim.bgp.policy`.  One
 prefix per AS (identified by the origin ASN) is enough for the locality
 questions the case studies ask.
 
-The propagation is the standard three-phase cone walk used by AS-level
-simulators: customer routes flow up the provider hierarchy, then across
-peering edges, then down to customers — which yields the unique stable
-solution for policy-consistent (cycle-free) graphs, in O(E) per prefix.
+:func:`propagate_routes` relaxes to a fixed point: each round, every AS
+keeps the most preferred of the routes its neighbors' policies export
+to it, until a round changes nothing (at most ``2 * len(graph) + 10``
+rounds).  On policy-consistent (cycle-free) graphs that is the unique
+stable solution.  A round costs O(E) per prefix, a run O(rounds * E).
 """
 
 from __future__ import annotations

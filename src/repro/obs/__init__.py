@@ -36,7 +36,6 @@ from repro.obs.metrics import (
     percentile,
     render_prometheus,
     sanitize_metric_name,
-    set_metrics,
     use_metrics,
 )
 from repro.obs.profiler import profile_call, profile_to
@@ -46,7 +45,6 @@ from repro.obs.tracing import (
     Span,
     Tracer,
     current_tracer,
-    set_tracer,
     use_tracer,
 )
 
@@ -72,8 +70,6 @@ __all__ = [
     "render_prometheus",
     "render_report",
     "sanitize_metric_name",
-    "set_metrics",
-    "set_tracer",
     "use_metrics",
     "use_tracer",
 ]

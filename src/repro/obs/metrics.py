@@ -13,7 +13,7 @@ name may carry Prometheus-style labels — ``serve.request_seconds
 the JSON snapshot keeps the full key, and :func:`render_prometheus`
 splits it back into a metric family plus a label set.
 
-The process-wide default is a :class:`NullMetrics` whose every method
+The default registry is a :class:`NullMetrics` whose every method
 is a no-op, so instrumented hot paths (``read_jsonl`` row counting, the
 suite runner's retry accounting) cost one lookup and one call until a
 real registry is installed with :func:`use_metrics`.
@@ -26,6 +26,7 @@ import re
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Iterator, Sequence
 
 from repro.io.tables import render_table
@@ -44,7 +45,6 @@ __all__ = [
     "percentile",
     "render_prometheus",
     "sanitize_metric_name",
-    "set_metrics",
     "use_metrics",
 ]
 
@@ -487,36 +487,29 @@ class NullMetrics:
         metrics were never requested."""
 
 
-#: The process-wide registry instrumented call sites consult.
-_metrics: MetricsRegistry | NullMetrics = NullMetrics()
+#: The registry instrumented call sites consult: scoped like every
+#: other ambient setting (see :func:`use_metrics`).
+_metrics: ContextVar[MetricsRegistry | NullMetrics] = ContextVar(
+    "metrics", default=NullMetrics()
+)
 
 
 def current_metrics() -> MetricsRegistry | NullMetrics:
-    """The active process-wide registry (:class:`NullMetrics` by default)."""
-    return _metrics
-
-
-def set_metrics(
-    metrics: MetricsRegistry | NullMetrics | None,
-) -> MetricsRegistry | NullMetrics:
-    """Install ``metrics`` globally (None restores the null registry).
-
-    Returns the previously installed registry; prefer
-    :func:`use_metrics`, which restores it automatically.
-    """
-    global _metrics
-    previous = _metrics
-    _metrics = metrics if metrics is not None else NullMetrics()
-    return previous
+    """The registry in effect (:class:`NullMetrics` by default)."""
+    return _metrics.get()
 
 
 @contextmanager
 def use_metrics(
     metrics: MetricsRegistry | NullMetrics,
 ) -> Iterator[MetricsRegistry | NullMetrics]:
-    """Install ``metrics`` for the duration of the ``with`` block."""
-    previous = set_metrics(metrics)
+    """Install ``metrics`` for the duration of the ``with`` block.
+
+    The setting is scoped to the current thread (and context); the
+    previous registry is back on exit.
+    """
+    token = _metrics.set(metrics)
     try:
         yield metrics
     finally:
-        set_metrics(previous)
+        _metrics.reset(token)

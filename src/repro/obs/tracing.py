@@ -3,10 +3,10 @@
 A :class:`Tracer` records :class:`Span` trees — named, monotonic-clocked
 intervals with attributes and error capture — and exports them as JSONL
 through the same atomic-write path every other dataset uses
-(:func:`repro.io.jsonl.write_jsonl`).  The default process-wide tracer
-is a :class:`NullTracer` whose ``span()`` returns one shared, inert
-context manager, so instrumented call sites cost a single attribute
-lookup and allocate nothing until someone opts in::
+(:func:`repro.io.jsonl.write_jsonl`).  The default tracer is a
+:class:`NullTracer` whose ``span()`` returns one shared, inert context
+manager, so instrumented call sites cost a single attribute lookup and
+allocate nothing until someone opts in::
 
     from repro.obs import Tracer, use_tracer
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterator
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "Span",
     "Tracer",
     "current_tracer",
-    "set_tracer",
     "use_tracer",
 ]
 
@@ -232,7 +232,7 @@ _NULL_SPAN = _NullSpan()
 class NullTracer:
     """The do-nothing default tracer.
 
-    ``span()`` returns one process-wide inert object, so tracing that
+    ``span()`` returns one shared, inert object, so tracing that
     nobody asked for costs an attribute lookup and a method call —
     no allocation, no lock, no clock read.
     """
@@ -247,32 +247,27 @@ class NullTracer:
         return 0
 
 
-#: The process-wide tracer instrumented call sites consult.
-_tracer: Tracer | NullTracer = NullTracer()
+#: The tracer instrumented call sites consult: scoped like every other
+#: ambient setting (see :func:`use_tracer`).
+_tracer: ContextVar[Tracer | NullTracer] = ContextVar(
+    "tracer", default=NullTracer()
+)
 
 
 def current_tracer() -> Tracer | NullTracer:
-    """The active process-wide tracer (a :class:`NullTracer` by default)."""
-    return _tracer
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` globally (None restores the null tracer).
-
-    Returns the previously installed tracer so callers can restore it;
-    prefer :func:`use_tracer` which does that automatically.
-    """
-    global _tracer
-    previous = _tracer
-    _tracer = tracer if tracer is not None else NullTracer()
-    return previous
+    """The tracer in effect (a :class:`NullTracer` by default)."""
+    return _tracer.get()
 
 
 @contextmanager
 def use_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
-    """Install ``tracer`` for the duration of the ``with`` block."""
-    previous = set_tracer(tracer)
+    """Install ``tracer`` for the duration of the ``with`` block.
+
+    The setting is scoped to the current thread (and context); the
+    previous tracer is back on exit.
+    """
+    token = _tracer.set(tracer)
     try:
         yield tracer
     finally:
-        set_tracer(previous)
+        _tracer.reset(token)

@@ -12,10 +12,10 @@ MemoryError), or ``enospc`` (``OSError(ENOSPC)``, a full disk).
 Process-level faults exist to chaos-test the parallel runtime, so
 ``kill`` only fires inside a process marked as a pool worker
 (:func:`mark_worker_process`); everywhere else it passes through.  An
-injector can also be installed process-wide (:func:`use_fault_injector`)
-so the :mod:`repro.io` write points can consult it without carrying an
-injector argument — that is how ``enospc`` reaches the artifact cache
-and checkpoint writes.
+injector can also be installed as a scoped setting
+(:func:`use_fault_injector`) so the :mod:`repro.io` write points can
+consult it without carrying an injector argument — that is how
+``enospc`` reaches the artifact cache and checkpoint writes.
 
 Determinism is the point: the decision sequence for a point depends
 only on ``(seed, point)``, so a failing schedule reproduces exactly,
@@ -50,6 +50,7 @@ import os
 import random
 import signal
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -109,35 +110,38 @@ def in_worker_process() -> bool:
     return _in_worker_process
 
 
-_active_injector: "FaultInjector | None" = None
+#: The injector instrumented write points consult, or None: scoped
+#: like every other ambient setting (see :func:`use_fault_injector`).
+_active_injector: ContextVar["FaultInjector | None"] = ContextVar(
+    "fault_injector", default=None
+)
 
 
 def current_fault_injector() -> "FaultInjector | None":
-    """The process-wide injector consulted by instrumented write points."""
-    return _active_injector
+    """The injector in effect for instrumented write points, or None."""
+    return _active_injector.get()
 
 
 @contextlib.contextmanager
 def use_fault_injector(injector: "FaultInjector | None") -> Iterator[None]:
-    """Install ``injector`` process-wide for the duration of the block.
+    """Install ``injector`` for the duration of the block.
 
     Call sites that cannot carry an injector argument — the
     :mod:`repro.io` write paths above all — consult
     :func:`current_fault_injector` instead, so disk faults (``enospc``)
     can reach them without threading an injector through every API.
+    The setting is scoped to the current thread (and context).
     ``None`` is accepted and leaves the previous injector installed,
     which lets callers wrap unconditionally.
     """
-    global _active_injector
     if injector is None:
         yield
         return
-    previous = _active_injector
-    _active_injector = injector
+    token = _active_injector.set(injector)
     try:
         yield
     finally:
-        _active_injector = previous
+        _active_injector.reset(token)
 
 
 class InjectedFault(RuntimeError):

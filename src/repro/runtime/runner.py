@@ -44,13 +44,17 @@ exercise every failure path deterministically.
 The runner is fully instrumented against :mod:`repro.obs`: it opens a
 span per suite / experiment / attempt, counts retries, timeouts,
 checkpoint hits, and leaked deadline-worker threads, and can dump a
-``cProfile`` capture per experiment (``profile_dir=``).  With the
-default null tracer and null metrics installed all of that costs a few
-attribute lookups per experiment.
+``cProfile`` capture per experiment (``profile_dir=``).  Everything
+goes to the tracer and registry in effect (``use_tracer`` /
+``use_metrics``): directly at ``workers=1``, through the merged worker
+shards at ``workers>1``.  With the default null tracer and null
+metrics installed all of that costs a few attribute lookups per
+experiment.
 """
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import random
@@ -301,12 +305,6 @@ class SuiteRunner:
             ``"experiment:<id>"``.
         clock: Monotonic clock (injectable for tests).
         sleep: Sleep function used for backoff (injectable for tests).
-        tracer: Tracer for suite/experiment/attempt spans.  None (the
-            default) consults :func:`repro.obs.tracing.current_tracer`
-            at run time — a no-op unless one was installed.
-        metrics: Metrics registry for retry/timeout/checkpoint/leak
-            counters; None consults
-            :func:`repro.obs.metrics.current_metrics` at run time.
         profile_dir: When set, each experiment attempt runs under
             ``cProfile`` and dumps ``<dir>/<id>.pstats`` (later
             attempts overwrite earlier ones).
@@ -349,8 +347,6 @@ class SuiteRunner:
         fault_injector=None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        tracer=None,
-        metrics=None,
         profile_dir: str | None = None,
         workers: int = 1,
         cache_dir: str | None = None,
@@ -377,18 +373,16 @@ class SuiteRunner:
         self._clock = clock
         self._sleep = sleep
         self._jitter_seed = seed
-        self._tracer = tracer
-        self._metrics = metrics
 
     @property
     def tracer(self):
-        """The tracer in effect (explicit, else the process-wide one)."""
-        return self._tracer if self._tracer is not None else current_tracer()
+        """The tracer in effect (:func:`repro.obs.tracing.current_tracer`)."""
+        return current_tracer()
 
     @property
     def metrics(self):
-        """The metrics registry in effect (explicit, else process-wide)."""
-        return self._metrics if self._metrics is not None else current_metrics()
+        """The registry in effect (:func:`repro.obs.metrics.current_metrics`)."""
+        return current_metrics()
 
     # -- point resolution ----------------------------------------------
 
@@ -536,9 +530,14 @@ class SuiteRunner:
 
         # A daemon thread, not a ThreadPoolExecutor: pool threads are
         # non-daemon, so a hung experiment would keep the interpreter
-        # alive at exit even though the suite long since timed out.
+        # alive at exit even though the suite long since timed out.  A
+        # new thread starts with an empty context, so it runs in a copy
+        # of this one: the run's tracer, metrics and injector go along.
         thread = threading.Thread(
-            target=worker, name=f"repro-{point.experiment_id}", daemon=True
+            target=contextvars.copy_context().run,
+            args=(worker,),
+            name=f"repro-{point.experiment_id}",
+            daemon=True,
         )
         thread.start()
         thread.join(timeout=remaining)
@@ -764,7 +763,7 @@ class SuiteRunner:
             temp_cache = tempfile.TemporaryDirectory(prefix="repro-cache-")
             cache_dir = temp_cache.name
         try:
-            # Installing the injector process-wide lets disk faults
+            # Installing the injector as the scoped one lets disk faults
             # (enospc at the io/artifact write points) fire in the
             # sequential path too, not just inside pool workers.
             with use_fault_injector(self.fault_injector), self.tracer.span(
@@ -899,8 +898,6 @@ class SuiteRunner:
             degrade=self.degrade,
             heartbeat_timeout=self.heartbeat_timeout,
             cache_dir=cache_dir,
-            tracer=self.tracer,
-            metrics=self.metrics,
         )
         tasks = {
             index: make_task(self, points[index], cache_dir)

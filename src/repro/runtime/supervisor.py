@@ -161,10 +161,9 @@ class WorkerSupervisor:
         cache_dir: Artifact-cache directory the tasks write through;
             swept of orphaned temp files (zero grace) after every crash
             event.
-        tracer: Span sink for crash/rebuild/quarantine/degrade events
-            (default: the process-wide tracer).
-        metrics: Counter sink for the ``runner.*`` supervision metrics
-            (default: the process-wide registry).
+
+    Crash, rebuild, quarantine and degrade events go to the tracer and
+    the ``runner.*`` counters in effect when the supervisor is built.
     """
 
     def __init__(
@@ -176,8 +175,6 @@ class WorkerSupervisor:
         degrade: bool = True,
         heartbeat_timeout: float | None = None,
         cache_dir: str | None = None,
-        tracer=None,
-        metrics=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -191,8 +188,8 @@ class WorkerSupervisor:
         self.degrade = degrade
         self.heartbeat_timeout = heartbeat_timeout
         self.cache_dir = cache_dir
-        self._tracer = tracer if tracer is not None else current_tracer()
-        self._metrics = metrics if metrics is not None else current_metrics()
+        self._tracer = current_tracer()
+        self._metrics = current_metrics()
         self._pool: ProcessPoolExecutor | None = None
         self._pool_rebuilds = 0
         self._degraded = False

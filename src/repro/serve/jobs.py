@@ -32,6 +32,7 @@ callable itself runs on the pool.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -218,7 +219,11 @@ class ComputeJobManager:
     async def _run(self, key: str, compute: Callable[[], list[dict]]) -> list[dict]:
         loop = asyncio.get_running_loop()
         try:
-            rows = await loop.run_in_executor(self._executor, compute)
+            # Executor threads start with an empty context: the job runs
+            # in a copy of the submitter's (the service's request scope).
+            rows = await loop.run_in_executor(
+                self._executor, contextvars.copy_context().run, compute
+            )
         except Exception:
             self.metrics.count("serve.compute_failed")
             if self.breaker.record_failure(key):
@@ -273,7 +278,6 @@ def compute_experiment_rows(
     cache,
     cache_dir: str | None,
     workers: int = 1,
-    metrics=None,
     fault_injector=None,
     runner_kwargs: dict | None = None,
 ) -> list[dict]:
@@ -296,7 +300,6 @@ def compute_experiment_rows(
         workers=workers,
         cache_dir=cache_dir,
         keep_going=True,
-        metrics=metrics,
         fault_injector=fault_injector,
         **(runner_kwargs or {}),
     )

@@ -59,8 +59,13 @@ from typing import Callable
 from repro.errors import SpecError, UnknownExperimentError
 from repro.io.artifacts import ArtifactCache, artifact_key
 from repro.io.jsonl import append_jsonl
-from repro.obs.metrics import MetricsRegistry, labeled, render_prometheus
-from repro.obs.tracing import current_tracer
+from repro.obs.metrics import (
+    MetricsRegistry,
+    labeled,
+    render_prometheus,
+    use_metrics,
+)
+from repro.obs.tracing import current_tracer, use_tracer
 from repro.serve.http import (
     BadRequest,
     Request,
@@ -240,11 +245,14 @@ class ResultService:
         config: The :class:`ServeConfig` tunables.
         metrics: Counter sink; a fresh :class:`MetricsRegistry` by
             default so ``/metrics`` always has something to report.
-        tracer: Span sink (ambient tracer by default).
         fault_injector: Passed through to every compute job's runner —
             the chaos tests arm worker-kill faults here.
         runner_kwargs: Extra :class:`SuiteRunner` keywords for compute
             jobs (retries, crash budgets, heartbeats).
+
+    Each request and each compute job runs with ``metrics``,
+    ``fault_injector`` and the tracer in effect at construction, so the
+    library's own counters land in ``metrics`` at any ``workers``.
     """
 
     def __init__(
@@ -252,7 +260,6 @@ class ResultService:
         config: ServeConfig,
         *,
         metrics: MetricsRegistry | None = None,
-        tracer=None,
         fault_injector=None,
         runner_kwargs: dict | None = None,
     ) -> None:
@@ -260,7 +267,7 @@ class ResultService:
             raise ValueError("ServeConfig.cache_dir is required to serve")
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else current_tracer()
+        self.tracer = current_tracer()
         self.cache = ArtifactCache(config.cache_dir)
         self.jobs = ComputeJobManager(
             executor_workers=config.executor_workers,
@@ -331,11 +338,16 @@ class ResultService:
         source, per-route × per-status latency histograms, status-class
         counters, and one JSONL access-log row.
         """
+        # Imported here: repro.runtime loads the suite runner, which the
+        # listener does not need to start accepting.
+        from repro.runtime.faultinject import use_fault_injector
+
         self.metrics.count("serve.requests")
         started = time.monotonic()
         request_id = _request_id(request)
         route = route_template(request.path)
-        with self.tracer.span(
+        with use_tracer(self.tracer), use_metrics(self.metrics), \
+                use_fault_injector(self.fault_injector), self.tracer.span(
             "serve.request",
             method=request.method,
             path=request.path,
@@ -624,7 +636,6 @@ class ResultService:
                 cache=self.cache,
                 cache_dir=self.config.cache_dir,
                 workers=self.config.workers,
-                metrics=self.metrics,
                 fault_injector=self.fault_injector,
                 runner_kwargs=self.runner_kwargs,
             )

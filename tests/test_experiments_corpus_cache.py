@@ -33,7 +33,7 @@ from repro.experiments.registry import get_experiment, make_spec
 from repro.experiments.spec import CorpusParams
 from repro.experiments.sweep import run_sweep
 from repro.io.artifacts import ArtifactCache
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.runtime import runner as runner_module
 from repro.runtime.runner import SuiteRunner
 from repro.serve.service import compute_corpus_stats
@@ -232,9 +232,10 @@ class TestCacheRootScope:
         shutil.copytree(first, second)
         shutil.rmtree(first)  # the memoised corpus's directory is gone
         metrics = MetricsRegistry()
-        report = SuiteRunner(
-            workers=2, cache_dir=str(second), metrics=metrics
-        ).run_points(specs)
+        with use_metrics(metrics):
+            report = SuiteRunner(workers=2, cache_dir=str(second)).run_points(
+                specs
+            )
         assert not report.errors
         counters = metrics.snapshot()["counters"]
         assert counters.get("artifacts.misses", 0) == 0

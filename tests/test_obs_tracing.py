@@ -13,7 +13,6 @@ from repro.obs.tracing import (
     NullTracer,
     Tracer,
     current_tracer,
-    set_tracer,
     use_tracer,
 )
 
@@ -173,10 +172,9 @@ class TestInstallation:
                 raise ValueError("boom")
         assert current_tracer() is before
 
-    def test_set_tracer_none_restores_null(self):
-        previous = set_tracer(Tracer(clock=FakeClock()))
-        try:
-            set_tracer(None)
-            assert isinstance(current_tracer(), NullTracer)
-        finally:
-            set_tracer(previous)
+    def test_use_null_tracer_masks_the_outer_one(self):
+        outer = Tracer(clock=FakeClock())
+        with use_tracer(outer):
+            with use_tracer(NullTracer()):
+                assert isinstance(current_tracer(), NullTracer)
+            assert current_tracer() is outer

@@ -350,7 +350,7 @@ def test_experiment_result_require_raises_check_failure():
 
 class TestObservability:
     def test_span_tree_per_experiment_and_attempt(self, monkeypatch):
-        from repro.obs.tracing import Tracer
+        from repro.obs.tracing import Tracer, use_tracer
 
         failures = iter([True, False])
 
@@ -362,10 +362,9 @@ class TestObservability:
         patch_experiment(monkeypatch, flaky)
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        runner = SuiteRunner(
-            retries=1, tracer=tracer, clock=clock, sleep=clock.sleep
-        )
-        report = runner.run_all(["E1"])
+        runner = SuiteRunner(retries=1, clock=clock, sleep=clock.sleep)
+        with use_tracer(tracer):
+            report = runner.run_all(["E1"])
         assert report.ok
 
         by_name = {}
@@ -390,7 +389,7 @@ class TestObservability:
 
         tracer = Tracer()
         with use_tracer(tracer):
-            report = SuiteRunner(tracer=tracer).run_all(["E11"])
+            report = SuiteRunner().run_all(["E11"])
         assert report.ok
         stage = next(s for s in tracer.finished if s.name == "e11.run")
         attempt = next(s for s in tracer.finished if s.name == "attempt")
@@ -399,7 +398,7 @@ class TestObservability:
         assert stage.attributes["stage"] == "run"
 
     def test_retry_and_status_counters(self, monkeypatch):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry, use_metrics
 
         failures = iter([True, True, False])
 
@@ -411,37 +410,36 @@ class TestObservability:
         patch_experiment(monkeypatch, flaky)
         clock = FakeClock()
         metrics = MetricsRegistry()
-        runner = SuiteRunner(
-            retries=3, metrics=metrics, clock=clock, sleep=clock.sleep
-        )
-        assert runner.run_one("E1").status == "ok"
+        runner = SuiteRunner(retries=3, clock=clock, sleep=clock.sleep)
+        with use_metrics(metrics):
+            assert runner.run_one("E1").status == "ok"
         counters = metrics.snapshot()["counters"]
         assert counters["runner.retries"] == 2
         assert counters["runner.status.ok"] == 1
 
     def test_checkpoint_hit_counter(self, tmp_path):
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry, use_metrics
 
         path = str(tmp_path / "ckpt.jsonl")
         SuiteRunner(checkpoint=path).run_all(["E11"])
         metrics = MetricsRegistry()
-        SuiteRunner(checkpoint=path, metrics=metrics).run_all(["E11"])
+        with use_metrics(metrics):
+            SuiteRunner(checkpoint=path).run_all(["E11"])
         assert metrics.snapshot()["counters"]["runner.checkpoint_hits"] == 1
 
     def test_timeout_marks_leak_and_worker_is_daemon(self):
         import threading
 
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry, use_metrics
 
         injector = FaultInjector()
         injector.register(
             "experiment:E11", mode="hang", hang_seconds=0.5, times=1
         )
         metrics = MetricsRegistry()
-        runner = SuiteRunner(
-            timeout=0.05, fault_injector=injector, metrics=metrics
-        )
-        record = runner.run_one("E11")
+        runner = SuiteRunner(timeout=0.05, fault_injector=injector)
+        with use_metrics(metrics):
+            record = runner.run_one("E11")
         assert record.status == "timeout"
         counters = metrics.snapshot()["counters"]
         assert counters["runner.leaked_threads"] == 1

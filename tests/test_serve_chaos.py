@@ -13,8 +13,8 @@ import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.runtime.faultinject import FaultInjector, use_fault_injector
+from repro.obs.metrics import MetricsRegistry
+from repro.runtime.faultinject import FaultInjector
 from repro.serve.client import fetch
 from repro.serve.service import ResultService, ServeConfig, ServerThread
 
@@ -133,28 +133,27 @@ class TestKilledComputeWorkers:
         """
         injector = FaultInjector(seed=11)
         injector.register("artifacts:damage", mode="bitrot", times=1)
-        service = make_chaos_service(tmp_path, None, workers=1)
-        with use_metrics(service.metrics), use_fault_injector(injector):
-            with ServerThread(service) as server:
-                port = server.port
-                # First fetch computes and caches — but the injector
-                # bit-rots the completed entry right after the rename.
-                first = fetch(HOST, port, f"/v1/result/{CHEAP}?seed=0", timeout=90)
-                assert first.status == 200
-                assert first.json()["source"] == "computed"
-                assert injector.stats()["artifacts:damage"]["fired"] == 1
+        service = make_chaos_service(tmp_path, injector, workers=1)
+        with ServerThread(service) as server:
+            port = server.port
+            # First fetch computes and caches — but the injector
+            # bit-rots the completed entry right after the rename.
+            first = fetch(HOST, port, f"/v1/result/{CHEAP}?seed=0", timeout=90)
+            assert first.status == 200
+            assert first.json()["source"] == "computed"
+            assert injector.stats()["artifacts:damage"]["fired"] == 1
 
-                # The damaged entry fails verification: a recompute,
-                # not a crash and not a corrupted payload.
-                second = fetch(HOST, port, f"/v1/result/{CHEAP}?seed=0", timeout=90)
-                assert second.status == 200
-                assert second.json()["source"] == "computed"
-                assert second.json()["result"] is not None
+            # The damaged entry fails verification: a recompute,
+            # not a crash and not a corrupted payload.
+            second = fetch(HOST, port, f"/v1/result/{CHEAP}?seed=0", timeout=90)
+            assert second.status == 200
+            assert second.json()["source"] == "computed"
+            assert second.json()["result"] is not None
 
-                # Fault budget spent: the healthy rewrite now serves hot.
-                third = fetch(HOST, port, f"/v1/result/{CHEAP}?seed=0")
-                assert third.status == 200
-                assert third.json()["source"] == "cache"
+            # Fault budget spent: the healthy rewrite now serves hot.
+            third = fetch(HOST, port, f"/v1/result/{CHEAP}?seed=0")
+            assert third.status == 200
+            assert third.json()["source"] == "cache"
         stats = counters(service)
         assert stats["artifacts.integrity_failures"] == 1
         assert stats["serve.responses.200"] == 3
